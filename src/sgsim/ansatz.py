@@ -32,6 +32,8 @@ class ParamSet:
             raise ValueError("probe half-count must be >= 1")
         if len(self.gamma) != len(self.beta) or not self.gamma:
             raise ValueError("need equal, nonzero numbers of gamma and beta angles")
+        if not all(math.isfinite(a) for a in self.gamma + self.beta):
+            raise ValueError("angles must be finite")
 
     @property
     def m(self) -> int:

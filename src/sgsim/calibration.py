@@ -123,8 +123,9 @@ def minimize(N: int, m: int, restarts: int = 20, seed: int = 0,
 
     Starts are drawn uniformly from [0, pi)^(2m) with a generator seeded by
     `seed`, so the full report is reproducible. `workers` > 1 runs restarts
-    in separate processes; None picks a worker count automatically. Results
-    are identical either way (restarts are independent and merged in order).
+    in separate processes, never more than there are restarts; None picks one
+    per CPU. Results are identical either way (restarts are independent and
+    merged in order).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -136,7 +137,8 @@ def minimize(N: int, m: int, restarts: int = 20, seed: int = 0,
             for r in range(restarts)]
 
     if workers is None:
-        workers = min(restarts, os.cpu_count() or 1)
+        workers = os.cpu_count() or 1
+    workers = min(workers, restarts)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_restart, jobs))

@@ -81,7 +81,7 @@ def _write_json_atomic(path: Path, doc: dict) -> None:
 
 
 def _histogram_csv(hist) -> str:
-    rows = sorted(hist.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    rows = sorted(hist.to_dict()["counts"].items(), key=lambda kv: (-kv[1], kv[0]))
     return "bitstring,count\n" + "".join(f"{k},{c}\n" for k, c in rows)
 
 
@@ -190,6 +190,10 @@ def _cmd_calibrate(args) -> int:
         raise _UsageError("--layers must be >= 1")
     if args.n_probes_half < 1:
         raise _UsageError("--n-probes-half must be >= 1")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise _UsageError("--tol must be a finite number > 0")
+    if args.max_iters < 1:
+        raise _UsageError("--max-iters must be >= 1")
     target = ground_energy(args.n_probes_half)
     threshold = 0.9 * target if args.threshold is None else args.threshold
     report = minimize(args.n_probes_half, args.layers, restarts=args.restarts,
@@ -266,6 +270,8 @@ def _cmd_delayed(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.n_probes_half < 1:
+        raise _UsageError("--n-probes-half must be >= 1")
     path = Path(args.circuit)
     if not path.is_file():
         raise _DataError(f"circuit file not found: {path}")

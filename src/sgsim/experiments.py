@@ -112,55 +112,52 @@ def experiment_state(config: ExperimentConfig, layout: CrossLayout,
 
 
 def analytic_distribution(config: ExperimentConfig, layout: CrossLayout,
-                          *, wigner: bool = False) -> dict[str, float]:
-    """Exact full-register Born table; the oracle the sampled runs are
+                          *, wigner: bool = False) -> np.ndarray:
+    """Exact full-register Born vector; the oracle the sampled runs are
     checked against."""
     return born_probabilities(experiment_state(config, layout, wigner=wigner))
 
 
-def _bit(key: str, qubit: int) -> str:
-    return key[len(key) - 1 - qubit]
-
-
-def decode_table(table: dict, layout: CrossLayout, *, x_rotated: bool,
+def decode_table(table: np.ndarray, layout: CrossLayout, *, x_rotated: bool,
                  with_parity: bool) -> dict:
-    """Decode a counts or probability table keyed by full-register bitstrings.
+    """Decode a count or probability vector indexed by basis state.
 
-    Returns the system-qubit marginal, collective votes, optional parity
-    classification, and the joint tables used for order-comparison and
-    parity conditioning. Every output table starts zero-filled so alphabets
-    are complete.
+    Qubits above the physical register (the delayed-choice ancilla) are
+    ignored. Returns the system-qubit marginal, collective votes, optional
+    parity classification, and the joint tables used for order-comparison
+    and parity conditioning, every one with its full alphabet. Integer
+    vectors give int cells, float vectors float cells.
     """
-    qs = {"0": 0, "1": 0}
-    z_col = {label: 0 for label in Z_LABELS}
-    qs_z = {f"{s},{label}": 0 for s in "01" for label in Z_LABELS}
-    x_col = {label: 0 for label in X_LABELS} if x_rotated else None
-    qs_x = {f"{s},{label}": 0 for s in "01" for label in X_LABELS} if x_rotated else None
-    par = {label: 0 for label in PARITY_LABELS} if with_parity else None
-    qs_par = ({f"{s},{label}": 0 for s in "01" for label in PARITY_LABELS}
-              if with_parity else None)
+    table = np.asarray(table)
+    idx = np.arange(table.size)
+    system = (idx >> layout.center) & 1
 
-    for key, value in table.items():
-        s = _bit(key, layout.center)
-        z_bits = "".join(_bit(key, q) for q in layout.z_probes)
-        x_bits = "".join(_bit(key, q) for q in layout.x_probes)
-        z_label = decode_collective(z_bits, "z")
-        qs[s] += value
-        z_col[z_label] += value
-        qs_z[f"{s},{z_label}"] += value
-        if x_rotated:
-            x_label = decode_collective(x_bits, "x")
-            x_col[x_label] += value
-            qs_x[f"{s},{x_label}"] += value
-        if with_parity:
-            p_label = parity_of(x_bits)
-            par[p_label] += value
-            qs_par[f"{s},{p_label}"] += value
+    def ones(probes):
+        return np.bitwise_count(idx & sum(1 << q for q in probes)).astype(np.intp)
 
-    out = {"qs_marginal": qs, "z_collective": z_col, "qs_z_joint": qs_z,
-           "x_collective": x_col, "qs_x_joint": qs_x,
-           "parity": par, "qs_parity_joint": qs_par}
-    return out
+    def majority(probes):  # label position, as decode_collective votes
+        twice = 2 * ones(probes)
+        return np.where(twice == len(probes), 2, twice > len(probes))
+
+    def joint(labels, label):
+        sums = np.bincount(system * len(labels) + label, weights=table,
+                           minlength=2 * len(labels))
+        if np.issubdtype(table.dtype, np.integer):
+            sums = sums.astype(np.int64)  # float sums of counts are exact below 2^53
+        return dict(zip([f"{s},{name}" for s in "01" for name in labels], sums.tolist()))
+
+    def column(cells, labels):
+        return {name: cells[f"0,{name}"] + cells[f"1,{name}"] for name in labels}
+
+    qs_z = joint(Z_LABELS, majority(layout.z_probes))
+    qs_x = joint(X_LABELS, majority(layout.x_probes)) if x_rotated else None
+    qs_par = joint(PARITY_LABELS, ones(layout.x_probes) & 1) if with_parity else None
+    return {"qs_marginal": {s: sum(qs_z[f"{s},{name}"] for name in Z_LABELS) for s in "01"},
+            "z_collective": column(qs_z, Z_LABELS), "qs_z_joint": qs_z,
+            "x_collective": column(qs_x, X_LABELS) if x_rotated else None,
+            "qs_x_joint": qs_x,
+            "parity": column(qs_par, PARITY_LABELS) if with_parity else None,
+            "qs_parity_joint": qs_par}
 
 
 @dataclass
@@ -333,8 +330,8 @@ def delayed_branch_states(config: ExperimentConfig, layout: CrossLayout,
 
 def delayed_branch_distributions(config: ExperimentConfig, layout: CrossLayout,
                                  mode: str, p_choice: float
-                                 ) -> dict[int, tuple[float, dict[str, float]]]:
-    """Analytic Born tables over the physical register, one per ancilla branch."""
+                                 ) -> dict[int, tuple[float, np.ndarray]]:
+    """Analytic Born vectors over the physical register, one per ancilla branch."""
     register = list(range(layout.n_qubits - 1, -1, -1))
     return {outcome: (weight, born_probabilities(state, register))
             for outcome, (weight, state)
@@ -350,9 +347,10 @@ def branch_equivalence_summary(config: ExperimentConfig, layout: CrossLayout,
     max_tvd = 0.0
     max_weight_diff = 0.0
     for outcome in sorted(set(mid) | set(deferred)):
-        w_mid, t_mid = mid.get(outcome, (0.0, {}))
-        w_def, t_def = deferred.get(outcome, (0.0, {}))
-        tvd = total_variation_distance(t_mid, t_def) if t_mid and t_def else 1.0
+        w_mid, t_mid = mid.get(outcome, (0.0, None))
+        w_def, t_def = deferred.get(outcome, (0.0, None))
+        both = t_mid is not None and t_def is not None
+        tvd = total_variation_distance(t_mid, t_def) if both else 1.0
         branches[str(outcome)] = {"weight_midcircuit": w_mid,
                                   "weight_deferred": w_def, "tvd": tvd}
         max_tvd = max(max_tvd, tvd)
@@ -361,8 +359,8 @@ def branch_equivalence_summary(config: ExperimentConfig, layout: CrossLayout,
             "max_weight_difference": max_weight_diff}
 
 
-def _branch_report(counts: dict[str, int], layout: CrossLayout, outcome: int) -> dict:
-    shots = sum(counts.values())
+def _branch_report(counts: np.ndarray, layout: CrossLayout, outcome: int) -> dict:
+    shots = int(counts.sum())
     decoded = decode_table(counts, layout, x_rotated=(outcome == 1),
                            with_parity=(outcome == 0))
     entry = {"shots": shots,
@@ -389,30 +387,21 @@ def run_delayed_choice(config: ExperimentConfig, layout: CrossLayout,
     if config.order != "xz":
         raise ValueError("the delayed-choice experiment runs the X device first; "
                          "use order='xz'")
-    branches = delayed_branch_states(config, layout, mode, p_choice)
+    # The ancilla-resolved branches are orthogonal, so their weighted mixture
+    # is the exact shot distribution of either formulation.
     n_total = layout.n_qubits + 1
+    mixture = np.zeros(1 << n_total)
+    for weight, state in delayed_branch_states(config, layout, mode, p_choice).values():
+        mixture += weight * np.abs(state.amplitudes) ** 2
+    mixture /= mixture.sum()
     rng = np.random.default_rng(config.seed)
+    draws = rng.choice(1 << n_total, size=config.shots, p=mixture)
+    hist = histogram_from_samples(draws, config.shots, n_total)
 
-    if mode == "deferred":
-        # fully unitary program: sample its final state directly
-        circuit, _ = delayed_choice_circuit(config, layout, mode, p_choice)
-        state = apply_circuit(_initial_state(config, n_total, layout.center), circuit)
-        hist = sample_shots(state, config.shots, rng)
-    else:
-        # the collapsed-ancilla branches are the only two trajectories, so
-        # their weighted mixture is the exact shot distribution
-        mixture = np.zeros(1 << n_total)
-        for weight, state in branches.values():
-            mixture += weight * np.abs(state.amplitudes) ** 2
-        mixture /= mixture.sum()
-        draws = rng.choice(1 << n_total, size=config.shots, p=mixture)
-        hist = histogram_from_samples(draws, config.shots, n_total)
-
+    # the ancilla is the highest qubit, so its two values split the vector in half
     ancilla = layout.n_qubits
-    by_ancilla = {}
-    for outcome in (0, 1):
-        counts = {k: c for k, c in hist.counts.items() if _bit(k, ancilla) == str(outcome)}
-        by_ancilla[str(outcome)] = _branch_report(counts, layout, outcome)
+    by_ancilla = {str(outcome): _branch_report(counts, layout, outcome)
+                  for outcome, counts in enumerate(hist.counts.reshape(2, -1))}
 
     decoded = decode_table(hist.counts, layout, x_rotated=False, with_parity=False)
     return ExperimentReport(
@@ -429,25 +418,19 @@ def run_delayed_choice(config: ExperimentConfig, layout: CrossLayout,
 
 
 def total_variation_distance(table_a, table_b) -> float:
-    """Half the L1 distance between two distributions given as probability
-    tables, count tables, or ShotHistograms. Missing keys count as zero;
-    bitstring tables must agree on string length."""
-    def as_freqs(table):
-        if isinstance(table, ShotHistogram):
-            table = table.counts
-        total = float(sum(table.values()))
-        if total <= 0.0:
-            raise ValueError("cannot normalize an empty table")
-        return {k: v / total for k, v in table.items()}
-
-    def bitstring_lengths(freqs):
-        if freqs and all(set(k) <= {"0", "1"} for k in freqs):
-            return {len(k) for k in freqs}
-        return None
-
-    fa, fb = as_freqs(table_a), as_freqs(table_b)
-    la, lb = bitstring_lengths(fa), bitstring_lengths(fb)
-    if la is not None and lb is not None and la != lb:
-        raise ValueError("tables are keyed by bitstrings of different lengths")
-    keys = set(fa) | set(fb)
-    return 0.5 * sum(abs(fa.get(k, 0.0) - fb.get(k, 0.0)) for k in keys)
+    """Half the L1 distance between two distributions, each a probability or
+    count vector indexed by basis state, a ShotHistogram, or a small
+    label-keyed dict such as qs_z_joint. Vectors must have one length; dicts
+    are aligned on the sorted union of their keys, a missing key counting
+    as zero."""
+    a, b = (t.counts if isinstance(t, ShotHistogram) else t for t in (table_a, table_b))
+    if isinstance(a, dict):
+        keys = sorted(set(a) | set(b))
+        a, b = [a.get(k, 0) for k in keys], [b.get(k, 0) for k in keys]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"distributions have different lengths {a.shape} and {b.shape}")
+    total_a, total_b = a.sum(), b.sum()
+    if total_a <= 0.0 or total_b <= 0.0:
+        raise ValueError("cannot normalize an empty table")
+    return float(0.5 * np.abs(a / total_a - b / total_b).sum())

@@ -222,12 +222,9 @@ def apply_circuit(state: StateVector, circuit: Circuit,
         if op.gate is Gate.MEASURE:
             if rng is None:
                 raise ValueError("circuit contains measurements but no rng was given")
-            q = op.targets[0]
-            p1, _ = _project_qubit(amps, n, q, 1)
-            outcome = 1 if rng.random() < p1 else 0
-            prob, amps = _project_qubit(amps, n, q, outcome)
-            if amps is None:
-                raise RuntimeError(f"sampled a zero-probability branch on qubit {q}")
+            outcome, collapsed = measure_and_collapse(StateVector(n, amps, _copy=False),
+                                                      op.targets[0], rng)
+            amps = collapsed.amplitudes
             if op.cbit is not None:
                 classical[op.cbit] = outcome
         else:
@@ -237,12 +234,14 @@ def apply_circuit(state: StateVector, circuit: Circuit,
     return StateVector(n, amps, _copy=False)
 
 
-def born_probabilities(state: StateVector, qubits=None) -> dict[str, float]:
+def born_probabilities(state: StateVector, qubits=None) -> np.ndarray:
     """Marginal Born distribution over an ordered qubit subset.
 
-    Keys are bitstrings whose j-th character is the bit of qubits[j]; the
+    Returns a length-2^k vector: entry i is the probability of the pattern
+    bitstring_key(i, k), whose j-th character is the bit of qubits[j]. The
     default subset is the whole register in serialization order (q[n-1]
-    first), matching sample_shots keys. All 2^k patterns are present.
+    first), so entry i is then the probability of basis state i, the same
+    indexing as ShotHistogram.counts.
     """
     n = state.n_qubits
     if qubits is None:
@@ -260,16 +259,15 @@ def born_probabilities(state: StateVector, qubits=None) -> dict[str, float]:
         table = table.sum(axis=drop)
     remaining = sorted(keep_axes)
     table = table.transpose([remaining.index(ax) for ax in keep_axes])
-    flat = table.reshape(-1)
-    k = len(qubits)
-    return {bitstring_key(i, k): float(flat[i]) for i in range(flat.size)}
+    return table.reshape(-1)
 
 
 @dataclass
 class ShotHistogram:
-    """Sampled bitstring counts over the full register."""
+    """Sampled counts over the full register: counts[i] is the number of
+    shots that read basis state i, a length-2^n integer vector."""
 
-    counts: dict[str, int]
+    counts: np.ndarray
     shots: int
     n_qubits: int
     bit_order: str = BIT_ORDER
@@ -277,26 +275,26 @@ class ShotHistogram:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        total = 0
-        for key, c in self.counts.items():
-            if len(key) != self.n_qubits or set(key) - {"0", "1"}:
-                raise ValueError(f"bad bitstring key {key!r}")
-            if c < 0:
-                raise ValueError("negative count")
-            total += c
+        self.counts = np.asarray(self.counts)
+        if self.counts.shape != (1 << self.n_qubits,):
+            raise ValueError(f"counts must have length 2^{self.n_qubits}, "
+                             f"got shape {self.counts.shape}")
+        if np.any(self.counts < 0):
+            raise ValueError("negative count")
+        total = int(self.counts.sum())
         if total != self.shots:
             raise ValueError(f"counts total {total} != shots {self.shots}")
 
     def to_dict(self) -> dict:
-        return {"counts": {k: self.counts[k] for k in sorted(self.counts)},
+        """Report form: nonzero counts keyed by bitstring, in sorted order."""
+        return {"counts": {bitstring_key(int(i), self.n_qubits): int(self.counts[i])
+                           for i in np.flatnonzero(self.counts)},
                 "shots": self.shots, "n_qubits": self.n_qubits,
                 "bit_order": self.bit_order}
 
 
 def histogram_from_samples(indices: np.ndarray, shots: int, n_qubits: int) -> ShotHistogram:
-    values, counts = np.unique(indices, return_counts=True)
-    table = {bitstring_key(int(v), n_qubits): int(c) for v, c in zip(values, counts)}
-    return ShotHistogram(table, shots, n_qubits)
+    return ShotHistogram(np.bincount(indices, minlength=1 << n_qubits), shots, n_qubits)
 
 
 def sample_shots(state: StateVector, shots: int, rng: np.random.Generator) -> ShotHistogram:

@@ -182,3 +182,7 @@ def test_paramset_validation():
         ParamSet(0, (0.1,), (0.2,))
     with pytest.raises(ValueError):
         ParamSet.from_json('{"N": 1, "m": 2, "gamma": [0.1], "beta": [0.2]}')
+    with pytest.raises(ValueError):
+        ParamSet(1, (math.nan,), (0.2,))
+    with pytest.raises(ValueError):
+        ParamSet.from_json('{"N": 1, "m": 1, "gamma": [0.1], "beta": [Infinity]}')

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import sgsim.calibration
 from sgsim.ansatz import ParamSet, build_sg_z
 from sgsim.calibration import cat_fidelity, cost, ground_energy, minimize
 from sgsim.state import apply_circuit, basis_state
@@ -52,6 +53,34 @@ def test_parallel_restarts_match_serial():
     serial = minimize(1, 1, restarts=3, seed=5, workers=1)
     parallel = minimize(1, 1, restarts=3, seed=5, workers=2)
     assert serial.to_dict() == parallel.to_dict()
+
+
+def test_worker_count_is_clamped_to_restarts(monkeypatch):
+    # a stand-in pool records the requested size and maps in this process
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(sgsim.calibration, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sgsim.calibration.os, "cpu_count", lambda: 64)
+    kwargs = dict(restarts=3, seed=5, max_iters=30)
+    clamped = minimize(1, 1, workers=1000, **kwargs)
+    automatic = minimize(1, 1, workers=None, **kwargs)
+    assert requested == [3, 3]
+    serial = minimize(1, 1, workers=1, **kwargs)
+    assert clamped.to_dict() == automatic.to_dict() == serial.to_dict()
+    assert requested == [3, 3]
 
 
 def test_report_invariants(calibrated_n3):

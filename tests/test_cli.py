@@ -79,6 +79,19 @@ def test_calibrate_worker_env_does_not_change_results(tmp_path, monkeypatch):
                    "--report", str(tmp_path / "cx.json")) == 64
 
 
+def test_calibrate_tol_and_max_iters_validation(tmp_path, capsys):
+    cases = [("--tol", "-1", "--max-iters", "0"), ("--tol", "0"), ("--tol", "nan"),
+             ("--tol", "inf"), ("--max-iters", "0")]
+    for flags in cases:
+        rc = run_cli("calibrate", "--n-probes-half", "1", "--layers", "1",
+                     "--restarts", "1", *flags, "--out", str(tmp_path / "p.json"),
+                     "--report", str(tmp_path / "c.json"))
+        err = capsys.readouterr().err
+        assert rc == 64
+        assert err.startswith(f"usage error: {flags[0]} must be") and err.count("\n") == 1
+    assert not (tmp_path / "p.json").exists()
+
+
 # ------------------------------------------------------------------------ run
 
 def test_run_reference_z_first(tmp_path):
@@ -144,6 +157,18 @@ def test_run_input_amplitudes(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert doc["report"]["metadata"]["input"]["a"] == [0.6, 0.0]
+
+
+def test_nonfinite_params_are_a_data_error(tmp_path, capsys):
+    params_file = tmp_path / "nan.json"
+    params_file.write_text('{"N": 1, "m": 1, "gamma": [NaN], "beta": [0.5]}\n')
+    for command in (("run", "--order", "zx"), ("wigner",)):
+        rc = run_cli(*command, "--params", str(params_file), "--shots", "64",
+                     "--out", str(tmp_path / "r.json"))
+        err = capsys.readouterr().err
+        assert rc == 65
+        assert err == f"error: malformed parameter file {params_file}: angles must be finite\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 # --------------------------------------------------------------------- wigner
@@ -221,6 +246,13 @@ def test_validate_malformed_and_empty(tmp_path):
     mismatched = tmp_path / "mismatch.json"
     Circuit(6).to_json(mismatched)
     assert run_cli("validate", "--circuit", str(mismatched), "--n-probes-half", "1") == 65
+
+
+def test_validate_rejects_empty_arm(tmp_path, capsys):
+    path = tmp_path / "circuit.json"
+    Circuit(5).to_json(path)
+    assert run_cli("validate", "--circuit", str(path), "--n-probes-half", "0") == 64
+    assert capsys.readouterr().err == "usage error: --n-probes-half must be >= 1\n"
 
 
 # -------------------------------------------------------------- reproducibility

@@ -3,15 +3,19 @@ analytic oracles."""
 
 import math
 
+import numpy as np
 import pytest
 
+from sgsim.ansatz import ParamSet
 from sgsim.experiments import (ExperimentConfig, analytic_distribution,
                                branch_equivalence_summary, decode_collective,
                                decode_table, delayed_branch_distributions,
+                               delayed_branch_states, delayed_choice_circuit,
                                parity_of, run_delayed_choice, run_sequential,
                                run_wigner, total_variation_distance)
 from sgsim.layout import make_cross_layout
-from sgsim.state import ShotHistogram
+from sgsim.state import (ShotHistogram, apply_circuit, born_probabilities,
+                         qubit_state)
 
 SHOTS = 8192
 SIGMA_HALF = math.sqrt(0.25 / SHOTS)  # binomial sigma of a fair split
@@ -52,6 +56,51 @@ def test_parity_of():
     assert parity_of("110110") == "even"
 
 
+def reference_cells(index, layout):
+    """(table, key) cells that basis state `index` lands in, decoded from its
+    bitstring by decode_collective and parity_of."""
+    bits = format(index, "b")[::-1].ljust(layout.n_qubits, "0")  # bits[q] is qubit q
+    s = bits[layout.center]
+    x_bits = "".join(bits[q] for q in layout.x_probes)
+    z = decode_collective("".join(bits[q] for q in layout.z_probes), "z")
+    x = decode_collective(x_bits, "x")
+    par = parity_of(x_bits)
+    return {("qs_marginal", s), ("z_collective", z), ("qs_z_joint", f"{s},{z}"),
+            ("x_collective", x), ("qs_x_joint", f"{s},{x}"),
+            ("parity", par), ("qs_parity_joint", f"{s},{par}")}
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_decode_table_matches_reference_decoders(N):
+    layout = make_cross_layout(N)
+    size = 1 << (layout.n_qubits + 1)  # an ancilla above the register is ignored
+    cells = [reference_cells(index, layout) for index in range(size)]
+    # every basis state alone, as a count vector and as a probability vector
+    for dtype, kind in ((np.int64, int), (np.float64, float)):
+        for index in range(size):
+            one_hot = np.zeros(size, dtype=dtype)
+            one_hot[index] = 1
+            decoded = decode_table(one_hot, layout, x_rotated=True, with_parity=True)
+            for name, table in decoded.items():
+                for key, value in table.items():
+                    assert type(value) is kind
+                    assert value == (1 if (name, key) in cells[index] else 0)
+    # and whole vectors, summed cell by cell
+    rng = np.random.default_rng(N)
+    counts = rng.integers(0, 50, size)
+    probs = rng.random(size)
+    probs /= probs.sum()
+    for weights, tol in ((counts, 0), (probs, 1e-15)):
+        expected = {}
+        for index, weight in enumerate(weights):
+            for cell in cells[index]:
+                expected[cell] = expected.get(cell, 0) + weight
+        decoded = decode_table(weights, layout, x_rotated=True, with_parity=True)
+        for name, table in decoded.items():
+            for key, value in table.items():
+                assert value == pytest.approx(expected.get((name, key), 0), abs=tol)
+
+
 # ------------------------------------------------------------------------ tvd
 
 def test_tvd_trivial_cases():
@@ -60,10 +109,10 @@ def test_tvd_trivial_cases():
 
 
 def test_tvd_accepts_histograms_and_checks_alphabets():
-    h1 = ShotHistogram({"00": 3, "11": 1}, shots=4, n_qubits=2)
-    h2 = ShotHistogram({"00": 1, "11": 3}, shots=4, n_qubits=2)
+    h1 = ShotHistogram(np.array([3, 0, 0, 1]), shots=4, n_qubits=2)
+    h2 = ShotHistogram(np.array([1, 0, 0, 3]), shots=4, n_qubits=2)
     assert total_variation_distance(h1, h2) == pytest.approx(0.5)
-    h3 = ShotHistogram({"000": 4}, shots=4, n_qubits=3)
+    h3 = ShotHistogram(np.array([4, 0, 0, 0, 0, 0, 0, 0]), shots=4, n_qubits=3)
     with pytest.raises(ValueError):
         total_variation_distance(h1, h3)
     with pytest.raises(ValueError):
@@ -125,14 +174,10 @@ def test_wigner_parity_partition_is_exact(layout):
     config = reference_config("xz")
     report = run_wigner(config, layout)
 
-    x_probes = layout.x_probes
-    n = layout.n_qubits
-    for key, count in report.raw.counts.items():
-        if count == 0:
-            continue
-        x_bits = "".join(key[n - 1 - q] for q in x_probes)
-        qs_bit = key[n - 1 - layout.center]
-        z_bits = "".join(key[n - 1 - q] for q in layout.z_probes)
+    for index in np.flatnonzero(report.raw.counts):
+        x_bits = "".join(str((index >> q) & 1) for q in layout.x_probes)
+        qs_bit = str((index >> layout.center) & 1)
+        z_bits = "".join(str((index >> q) & 1) for q in layout.z_probes)
         if parity_of(x_bits) == "even":
             assert qs_bit == "0" and decode_collective(z_bits, "z") == "zero"
         else:
@@ -200,13 +245,28 @@ def test_delayed_midcircuit_matches_deferred(layout):
         assert branch["weight_midcircuit"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("params", [None, ParamSet(2, (0.3, 1.1), (0.7, 2.0))])
+def test_deferred_branch_mixture_is_the_deferred_distribution(params):
+    # the identity that lets run_delayed_choice sample the deferred program
+    # from its ancilla branches instead of simulating it a second time
+    layout = make_cross_layout(2)
+    config = ExperimentConfig(N=2, order="xz", a=0.6, b=0.8, params=params)
+    branches = delayed_branch_states(config, layout, "deferred", 0.3)
+    mixture = sum(weight * np.abs(state.amplitudes) ** 2
+                  for weight, state in branches.values())
+    circuit, _ = delayed_choice_circuit(config, layout, "deferred", 0.3)
+    initial = qubit_state(circuit.n_qubits, layout.center, 0.6, 0.8)
+    exact = born_probabilities(apply_circuit(initial, circuit))
+    assert np.max(np.abs(mixture - exact)) <= 1e-12
+
+
 def test_delayed_sampled_branches(layout):
     config = reference_config("xz", seed=29)
     for mode in ("midcircuit", "deferred"):
         report = run_delayed_choice(config, layout, mode=mode, p_choice=0.5)
         by_ancilla = report.conditional_tables["by_ancilla"]
         assert by_ancilla["0"]["shots"] + by_ancilla["1"]["shots"] == SHOTS
-        assert sum(report.raw.counts.values()) == SHOTS
+        assert report.raw.counts.sum() == SHOTS
         # branch 1 behaves like the which-way run
         qs1 = by_ancilla["1"]["qs_marginal"]
         assert abs(qs1["1"] / by_ancilla["1"]["shots"] - 0.5) <= 5 * math.sqrt(0.25 / by_ancilla["1"]["shots"])

@@ -152,25 +152,25 @@ def test_oracle_size_and_measurement_caps():
 
 def test_born_single_qubit_plus():
     table = born_probabilities(plus_state(), [0])
-    assert table["0"] == pytest.approx(0.5)
-    assert table["1"] == pytest.approx(0.5)
+    assert table[0] == pytest.approx(0.5)
+    assert table[1] == pytest.approx(0.5)
 
 
 def test_born_bell_pairs():
     bell = apply_circuit(basis_state(2), Circuit(2, [h(0), cnot(0, 1)]))
     table = born_probabilities(bell, [0, 1])
-    assert table["00"] == pytest.approx(0.5)
-    assert table["11"] == pytest.approx(0.5)
-    assert table["01"] == 0.0 and table["10"] == 0.0
-    assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
+    assert table[0b00] == pytest.approx(0.5)
+    assert table[0b11] == pytest.approx(0.5)
+    assert table[0b01] == 0.0 and table[0b10] == 0.0
+    assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_born_subset_order_and_errors():
     state = apply_circuit(basis_state(3), Circuit(3, [h(2)]))
-    # qubit 2 listed first: its bit is the first character
+    # qubit 2 listed first: its bit is the high bit of the pattern index
     table = born_probabilities(state, [2, 0])
-    assert table["00"] == pytest.approx(0.5)
-    assert table["10"] == pytest.approx(0.5)
+    assert table[0b00] == pytest.approx(0.5)
+    assert table[0b10] == pytest.approx(0.5)
     with pytest.raises(ValueError):
         born_probabilities(state, [0, 0])
     with pytest.raises(ValueError):
@@ -180,18 +180,18 @@ def test_born_subset_order_and_errors():
 def test_sample_shots_deterministic_and_concentrated():
     state = basis_state(3)
     hist = sample_shots(state, 100, np.random.default_rng(5))
-    assert hist.counts == {"000": 100}
+    assert hist.counts.tolist() == [100, 0, 0, 0, 0, 0, 0, 0]
 
     hist1 = sample_shots(plus_state(), 500, np.random.default_rng(6))
     hist2 = sample_shots(plus_state(), 500, np.random.default_rng(6))
-    assert hist1.counts == hist2.counts
+    assert hist1.counts.tolist() == hist2.counts.tolist()
 
 
 def test_sample_shots_binomial_band():
     shots = 8192
     hist = sample_shots(plus_state(), shots, np.random.default_rng(7))
-    assert abs(hist.counts.get("0", 0) - shots / 2) <= 3 * math.sqrt(shots * 0.25)
-    assert hist.shots == shots == sum(hist.counts.values())
+    assert abs(hist.counts[0] - shots / 2) <= 3 * math.sqrt(shots * 0.25)
+    assert hist.shots == shots == hist.counts.sum()
 
 
 def test_sampling_matches_born_within_4_sigma():
@@ -201,17 +201,19 @@ def test_sampling_matches_born_within_4_sigma():
     shots = 8192
     hist = sample_shots(state, shots, rng)
     probs = born_probabilities(state)
-    for key, p in probs.items():
-        observed = hist.counts.get(key, 0) / shots
+    for index, p in enumerate(probs):
+        observed = hist.counts[index] / shots
         band = 4 * math.sqrt(max(p * (1 - p), 1e-12) / shots)
-        assert abs(observed - p) <= band, f"bin {key}: {observed} vs {p}"
+        assert abs(observed - p) <= band, f"bin {index}: {observed} vs {p}"
 
 
 def test_shot_histogram_validation():
     with pytest.raises(ValueError):
-        ShotHistogram({"00": 2}, shots=3, n_qubits=2)
+        ShotHistogram(np.array([2, 0, 0, 0]), shots=3, n_qubits=2)
     with pytest.raises(ValueError):
-        ShotHistogram({"0x": 3}, shots=3, n_qubits=2)
+        ShotHistogram(np.array([3, 0, 0]), shots=3, n_qubits=2)    # wrong length
+    with pytest.raises(ValueError):
+        ShotHistogram(np.array([4, -1, 0, 0]), shots=3, n_qubits=2)
 
 
 # ------------------------------------------------------------------- collapse
@@ -253,14 +255,13 @@ def test_measurement_with_conditioned_gate_matches_controlled_version():
 
     rng = np.random.default_rng(11)
     shots = 4000
-    counts = {key: 0 for key in target}
+    counts = np.zeros(target.size, dtype=int)
     for _ in range(shots):
         out = apply_circuit(basis_state(2), mid, rng)
-        hist = sample_shots(out, 1, rng)
-        counts[next(iter(hist.counts))] += 1
-    for key, p in target.items():
+        counts += sample_shots(out, 1, rng).counts
+    for index, p in enumerate(target):
         band = 4 * math.sqrt(max(p * (1 - p), 1e-12) / shots)
-        assert abs(counts[key] / shots - p) <= band
+        assert abs(counts[index] / shots - p) <= band
 
 
 def test_apply_circuit_requires_rng_for_measurement():
