@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from .ansatz import ParamSet, build_sg_x, build_sg_z
 from .layout import chain_pairs
@@ -95,6 +94,13 @@ class CalibrationReport:
         if path is not None:
             Path(path).write_text(text + "\n")
         return text
+
+
+def scipy_minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first restart: importing it
+    takes about 0.5 s and 49 MB, which only calibration needs."""
+    from scipy.optimize import minimize as scipy_optimize_minimize
+    return scipy_optimize_minimize(*args, **kwargs)
 
 
 def _run_restart(args) -> tuple[float, list[float], list[float]]:

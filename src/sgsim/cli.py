@@ -16,9 +16,12 @@ from . import __version__
 from .ansatz import ParamSet
 from .calibration import cost, ground_energy, minimize
 from .circuit import Circuit
-from .experiments import (ExperimentConfig, branch_equivalence_summary,
-                          run_delayed_choice, run_sequential, run_wigner)
+from .experiments import (DELAYED_MODES, ExperimentConfig,
+                          branch_equivalence_summary,
+                          delayed_branch_distributions, run_delayed_choice,
+                          run_sequential, run_wigner)
 from .layout import make_cross_layout, validate_nearest_neighbor
+from .state import MAX_QUBITS
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -143,7 +146,15 @@ def _add_run_flags(parser: _Parser) -> None:
                         help="also dump the raw histogram as CSV")
 
 
-def _resolve_experiment(args, order: str) -> tuple[ExperimentConfig, object]:
+def _check_register_size(n_half: int, qubits: int) -> None:
+    """Refuse a register above the simulator's cap before anything is allocated."""
+    if qubits > MAX_QUBITS:
+        raise _UsageError(f"N={n_half} needs {qubits} qubits; the simulator "
+                          f"allows at most {MAX_QUBITS}")
+
+
+def _resolve_experiment(args, order: str, ancillas: int = 0
+                        ) -> tuple[ExperimentConfig, object]:
     if args.shots < 1:
         raise _UsageError("--shots must be >= 1")
     a, b = _parse_input_pair(args.input)
@@ -155,6 +166,7 @@ def _resolve_experiment(args, order: str) -> tuple[ExperimentConfig, object]:
         n_half = args.n_probes_half
         if n_half < 1:
             raise _UsageError("--n-probes-half must be >= 1")
+    _check_register_size(n_half, 4 * n_half + 1 + ancillas)
     config = ExperimentConfig(N=n_half, order=order, shots=args.shots,
                               seed=args.seed, a=a, b=b, params=params)
     return config, make_cross_layout(n_half)
@@ -194,6 +206,7 @@ def _cmd_calibrate(args) -> int:
         raise _UsageError("--tol must be a finite number > 0")
     if args.max_iters < 1:
         raise _UsageError("--max-iters must be >= 1")
+    _check_register_size(args.n_probes_half, 2 * args.n_probes_half + 1)
     target = ground_energy(args.n_probes_half)
     threshold = 0.9 * target if args.threshold is None else args.threshold
     report = minimize(args.n_probes_half, args.layers, restarts=args.restarts,
@@ -253,12 +266,16 @@ def _cmd_wigner(args) -> int:
 def _cmd_delayed(args) -> int:
     if not 0.0 <= args.p_choice <= 1.0:
         raise _UsageError("--p-choice must lie in [0, 1]")
-    config, layout = _resolve_experiment(args, "xz")
-    report = run_delayed_choice(config, layout, mode=args.mode, p_choice=args.p_choice)
+    config, layout = _resolve_experiment(args, "xz", ancillas=1)
+    # one prefix simulation serves the sampled run and the comparison
+    branches = delayed_branch_distributions(
+        config, layout, args.p_choice, DELAYED_MODES if args.analytic else (args.mode,))
+    report = run_delayed_choice(config, layout, mode=args.mode, p_choice=args.p_choice,
+                                branches=branches)
     extra = None
     if args.analytic:
-        extra = {"branch_equivalence":
-                 branch_equivalence_summary(config, layout, args.p_choice)}
+        extra = {"branch_equivalence": branch_equivalence_summary(
+            config, layout, args.p_choice, branches=branches)}
     manifest = _manifest(
         "delayed",
         _experiment_config_echo(args, config, mode=args.mode, p_choice=args.p_choice,

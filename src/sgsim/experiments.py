@@ -15,7 +15,7 @@ from .ansatz import (READOUT_ANGLE, ParamSet, attach_readout_rotations,
                      build_reference_cat, build_sg_x, build_sg_z)
 from .circuit import Circuit, cry, measure, ry
 from .layout import CrossLayout
-from .state import (ShotHistogram, StateVector, apply_circuit, apply_gate,
+from .state import (ShotHistogram, StateVector, apply_circuit,
                     born_probabilities, histogram_from_samples, project_qubit,
                     qubit_state, sample_shots)
 
@@ -268,6 +268,16 @@ def run_wigner(config: ExperimentConfig, layout: CrossLayout) -> ExperimentRepor
     )
 
 
+DELAYED_MODES = ("midcircuit", "deferred")
+
+
+def _check_delayed(modes, p_choice: float) -> None:
+    if any(mode not in DELAYED_MODES for mode in modes):
+        raise ValueError("mode must be 'midcircuit' or 'deferred'")
+    if not 0.0 <= p_choice <= 1.0:
+        raise ValueError("p_choice must lie in [0, 1]")
+
+
 def _delayed_prefix(config: ExperimentConfig, layout: CrossLayout,
                     p_choice: float) -> tuple[Circuit, int]:
     """Ancilla preparation plus both devices (X first); readout handling is
@@ -286,10 +296,7 @@ def delayed_choice_circuit(config: ExperimentConfig, layout: CrossLayout,
     """Full delayed-choice program. midcircuit: collapse the ancilla after the
     second device and classically condition the readout rotations on it.
     deferred: controlled rotations from the ancilla, measured terminally."""
-    if mode not in ("midcircuit", "deferred"):
-        raise ValueError("mode must be 'midcircuit' or 'deferred'")
-    if not 0.0 <= p_choice <= 1.0:
-        raise ValueError("p_choice must lie in [0, 1]")
+    _check_delayed((mode,), p_choice)
     circuit, ancilla = _delayed_prefix(config, layout, p_choice)
     if mode == "deferred":
         circuit.extend(cry(ancilla, q, READOUT_ANGLE) for q in layout.x_probes)
@@ -302,48 +309,65 @@ def delayed_choice_circuit(config: ExperimentConfig, layout: CrossLayout,
 _BRANCH_WEIGHT_FLOOR = 1e-15  # drops rounding dust from cos(pi/2) etc.
 
 
-def delayed_branch_states(config: ExperimentConfig, layout: CrossLayout,
-                          mode: str, p_choice: float) -> dict[int, tuple[float, StateVector]]:
-    """Ancilla-resolved final states: {outcome: (weight, state)}. Branches of
-    negligible weight are omitted. The ancilla qubit inside each state is
-    collapsed to its outcome."""
-    if mode not in ("midcircuit", "deferred"):
-        raise ValueError("mode must be 'midcircuit' or 'deferred'")
-    if not 0.0 <= p_choice <= 1.0:
-        raise ValueError("p_choice must lie in [0, 1]")
-    prefix, ancilla = _delayed_prefix(config, layout, p_choice)
-    psi = apply_circuit(_initial_state(config, prefix.n_qubits, layout.center), prefix)
+def _prefix_state(config: ExperimentConfig, layout: CrossLayout,
+                  p_choice: float) -> StateVector:
+    prefix, _ = _delayed_prefix(config, layout, p_choice)
+    return apply_circuit(_initial_state(config, prefix.n_qubits, layout.center), prefix)
+
+
+def _readout_branches(psi: StateVector, layout: CrossLayout, mode: str):
+    """Yield (outcome, weight, state) for each ancilla branch of `mode`'s
+    readout applied to the prefix state `psi`, one branch at a time.
+    deferred: controlled rotations on the whole state, then projection;
+    midcircuit: projection, then the rotations on branch 1 alone."""
+    ancilla = layout.n_qubits
     if mode == "deferred":
-        for q in layout.x_probes:
-            psi = apply_gate(psi, cry(ancilla, q, READOUT_ANGLE))
-    branches: dict[int, tuple[float, StateVector]] = {}
+        psi = apply_circuit(psi, Circuit(psi.n_qubits, [cry(ancilla, q, READOUT_ANGLE)
+                                                        for q in layout.x_probes]))
     for outcome in (0, 1):
         weight, state = project_qubit(psi, ancilla, outcome)
         if state is None or weight <= _BRANCH_WEIGHT_FLOOR:
             continue
         if mode == "midcircuit" and outcome == 1:
-            for q in layout.x_probes:
-                state = apply_gate(state, ry(q, READOUT_ANGLE))
-        branches[outcome] = (weight, state)
-    return branches
+            state = apply_circuit(state, Circuit(state.n_qubits, [ry(q, READOUT_ANGLE)
+                                                                  for q in layout.x_probes]))
+        yield outcome, weight, state
+
+
+def delayed_branch_states(config: ExperimentConfig, layout: CrossLayout,
+                          mode: str, p_choice: float) -> dict[int, tuple[float, StateVector]]:
+    """Ancilla-resolved final states of one mode: {outcome: (weight, state)}.
+    Branches of negligible weight are omitted. The ancilla qubit inside each
+    state is collapsed to its outcome."""
+    _check_delayed((mode,), p_choice)
+    psi = _prefix_state(config, layout, p_choice)
+    return {outcome: (weight, state)
+            for outcome, weight, state in _readout_branches(psi, layout, mode)}
 
 
 def delayed_branch_distributions(config: ExperimentConfig, layout: CrossLayout,
-                                 mode: str, p_choice: float
-                                 ) -> dict[int, tuple[float, np.ndarray]]:
-    """Analytic Born vectors over the physical register, one per ancilla branch."""
+                                 p_choice: float, modes=DELAYED_MODES
+                                 ) -> dict[str, dict[int, tuple[float, np.ndarray]]]:
+    """Analytic Born vectors over the physical register, one per ancilla
+    branch of each mode: {mode: {outcome: (weight, vector)}}. One prefix
+    simulation serves every mode; each mode applies its own readout to it.
+    Only the vectors are kept, never the branch states."""
+    _check_delayed(modes, p_choice)
+    psi = _prefix_state(config, layout, p_choice)
     register = list(range(layout.n_qubits - 1, -1, -1))
-    return {outcome: (weight, born_probabilities(state, register))
-            for outcome, (weight, state)
-            in delayed_branch_states(config, layout, mode, p_choice).items()}
+    return {mode: {outcome: (weight, born_probabilities(state, register))
+                   for outcome, weight, state in _readout_branches(psi, layout, mode)}
+            for mode in modes}
 
 
 def branch_equivalence_summary(config: ExperimentConfig, layout: CrossLayout,
-                               p_choice: float) -> dict:
-    """Compare the two delayed-choice formulations branch by branch."""
-    mid = delayed_branch_distributions(config, layout, "midcircuit", p_choice)
-    deferred = delayed_branch_distributions(config, layout, "deferred", p_choice)
-    branches = {}
+                               p_choice: float, branches: dict | None = None) -> dict:
+    """Compare the two delayed-choice formulations branch by branch.
+    `branches`, if given, is delayed_branch_distributions for both modes."""
+    if branches is None:
+        branches = delayed_branch_distributions(config, layout, p_choice)
+    mid, deferred = branches["midcircuit"], branches["deferred"]
+    summary = {}
     max_tvd = 0.0
     max_weight_diff = 0.0
     for outcome in sorted(set(mid) | set(deferred)):
@@ -351,11 +375,11 @@ def branch_equivalence_summary(config: ExperimentConfig, layout: CrossLayout,
         w_def, t_def = deferred.get(outcome, (0.0, None))
         both = t_mid is not None and t_def is not None
         tvd = total_variation_distance(t_mid, t_def) if both else 1.0
-        branches[str(outcome)] = {"weight_midcircuit": w_mid,
-                                  "weight_deferred": w_def, "tvd": tvd}
+        summary[str(outcome)] = {"weight_midcircuit": w_mid,
+                                 "weight_deferred": w_def, "tvd": tvd}
         max_tvd = max(max_tvd, tvd)
         max_weight_diff = max(max_weight_diff, abs(w_mid - w_def))
-    return {"branches": branches, "max_branch_tvd": max_tvd,
+    return {"branches": summary, "max_branch_tvd": max_tvd,
             "max_weight_difference": max_weight_diff}
 
 
@@ -379,27 +403,33 @@ def _branch_report(counts: np.ndarray, layout: CrossLayout, outcome: int) -> dic
 
 
 def run_delayed_choice(config: ExperimentConfig, layout: CrossLayout,
-                       mode: str = "midcircuit",
-                       p_choice: float = 0.5) -> ExperimentReport:
+                       mode: str = "midcircuit", p_choice: float = 0.5,
+                       branches: dict | None = None) -> ExperimentReport:
     """Delayed-choice run: an ancilla decides (with probability p_choice)
     whether the X-arm readout rotations fire. Branch 1 reproduces the
-    which-way statistics, branch 0 the interferometer statistics."""
+    which-way statistics, branch 0 the interferometer statistics.
+    `branches`, if given, is delayed_branch_distributions for at least
+    this mode."""
     if config.order != "xz":
         raise ValueError("the delayed-choice experiment runs the X device first; "
                          "use order='xz'")
+    _check_delayed((mode,), p_choice)
+    if branches is None:
+        branches = delayed_branch_distributions(config, layout, p_choice, (mode,))
     # The ancilla-resolved branches are orthogonal, so their weighted mixture
-    # is the exact shot distribution of either formulation.
-    n_total = layout.n_qubits + 1
-    mixture = np.zeros(1 << n_total)
-    for weight, state in delayed_branch_states(config, layout, mode, p_choice).values():
-        mixture += weight * np.abs(state.amplitudes) ** 2
+    # is the exact shot distribution of either formulation. The ancilla is
+    # the highest qubit, so each branch fills one half of the index range.
+    ancilla = layout.n_qubits
+    n_total = ancilla + 1
+    mixture = np.zeros((2, 1 << ancilla))
+    for outcome, (weight, vector) in branches[mode].items():
+        mixture[outcome] = weight * vector
+    mixture = mixture.reshape(-1)
     mixture /= mixture.sum()
     rng = np.random.default_rng(config.seed)
     draws = rng.choice(1 << n_total, size=config.shots, p=mixture)
     hist = histogram_from_samples(draws, config.shots, n_total)
 
-    # the ancilla is the highest qubit, so its two values split the vector in half
-    ancilla = layout.n_qubits
     by_ancilla = {str(outcome): _branch_report(counts, layout, outcome)
                   for outcome, counts in enumerate(hist.counts.reshape(2, -1))}
 

@@ -19,8 +19,19 @@ from .circuit import Circuit, Gate, GateOp, TWO_QUBIT_GATES
 
 BIT_ORDER = "q[n-1]..q[0]: leftmost character is the highest qubit index"
 
+# Largest register the simulator accepts. 2^24 complex128 amplitudes take
+# 256 MiB, and a command keeps a few register-sized arrays alive at once
+# (input, working copy, projected branch, Born vector). The delayed-choice
+# experiment at N=5 needs 22 qubits.
+MAX_QUBITS = 24
+
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
+
+
+def _check_register(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"register of {n_qubits} qubits outside 1..{MAX_QUBITS}")
 
 
 class StateVector:
@@ -30,8 +41,7 @@ class StateVector:
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray, *, _copy: bool = True):
-        if n_qubits < 1:
-            raise ValueError("need at least one qubit")
+        _check_register(n_qubits)
         amplitudes = np.asarray(amplitudes, dtype=np.complex128)
         if amplitudes.shape != (1 << n_qubits,):
             raise ValueError(f"amplitude array must have length 2^{n_qubits}, "
@@ -54,6 +64,7 @@ class StateVector:
 
 
 def basis_state(n_qubits: int, index: int = 0) -> StateVector:
+    _check_register(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(n_qubits, amps, _copy=False)
@@ -61,6 +72,7 @@ def basis_state(n_qubits: int, index: int = 0) -> StateVector:
 
 def qubit_state(n_qubits: int, qubit: int, a: complex, b: complex) -> StateVector:
     """Product state with `qubit` in a|0>+b|1> and every other qubit in |0>."""
+    _check_register(n_qubits)
     if not 0 <= qubit < n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
@@ -110,44 +122,58 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     raise ValueError(f"{g.value} has no unitary matrix")
 
 
-def _apply_1q(amps: np.ndarray, n: int, m2: np.ndarray, q: int) -> np.ndarray:
-    psi = amps.reshape([2] * n)
-    axis = n - 1 - q
-    psi = np.moveaxis(psi, axis, 0)
-    shape = psi.shape
-    psi = (m2 @ psi.reshape(2, -1)).reshape(shape)
-    return np.moveaxis(psi, 0, axis).reshape(-1)
+# Each gate rewrites the register through strided views of one array: a
+# single-qubit gate pairs the blocks of amps.reshape(-1, 2, 2^q) along its
+# middle axis, a two-qubit gate splits amps into four blocks by the bits of
+# both targets. No index vector is built and no amplitude is gathered.
+
+def _pair_blocks(amps: np.ndarray, q1: int, q2: int):
+    """Views of the amplitudes whose (bit q1, bit q2) is 00, 01, 10 and 11."""
+    lo, hi = sorted((q1, q2))
+    v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    if q1 > q2:
+        return v[:, 0, :, 0], v[:, 0, :, 1], v[:, 1, :, 0], v[:, 1, :, 1]
+    return v[:, 0, :, 0], v[:, 1, :, 0], v[:, 0, :, 1], v[:, 1, :, 1]
 
 
-def _apply_op(amps: np.ndarray, n: int, op: GateOp) -> np.ndarray:
-    """Fast bitwise application of one unitary gate; returns a new array."""
+def _mix(gate: Gate, t: float, x: np.ndarray, y: np.ndarray) -> None:
+    """Apply a gate's 2x2 action to one block pair in place: x holds the
+    amplitudes where the pair's bit is 0, y those where it is 1."""
+    if gate in (Gate.RZ, Gate.ZZ):
+        x *= np.exp(1j * t)
+        y *= np.exp(-1j * t)
+    elif gate in (Gate.RX, Gate.XX):
+        c, js = math.cos(t), 1j * math.sin(t)
+        x[...], y[...] = c * x + js * y, c * y + js * x
+    elif gate in (Gate.RY, Gate.CRY):
+        c, s = math.cos(t / 2), math.sin(t / 2)
+        x[...], y[...] = c * x - s * y, s * x + c * y
+    elif gate is Gate.H:
+        x[...], y[...] = (x + y) * _SQRT2_INV, (x - y) * _SQRT2_INV
+    elif gate is Gate.CNOT:
+        flipped = y.copy()
+        y[...] = x
+        x[...] = flipped
+    else:
+        raise ValueError(f"cannot apply {gate.value} as a unitary")
+
+
+def _apply_op(amps: np.ndarray, op: GateOp) -> None:
+    """Apply one unitary gate to `amps` in place."""
     g = op.gate
-    if g in (Gate.H, Gate.RX, Gate.RY, Gate.RZ):
-        return _apply_1q(amps, n, gate_matrix(op), op.targets[0])
-
-    q1, q2 = op.targets
-    idx = np.arange(amps.size)
-    if g is Gate.ZZ:
-        anti = ((idx >> q1) ^ (idx >> q2)) & 1
-        phase = np.where(anti == 0, np.exp(1j * op.param), np.exp(-1j * op.param))
-        return amps * phase
-    if g is Gate.XX:
-        flipped = amps[idx ^ ((1 << q1) | (1 << q2))]
-        return math.cos(op.param) * amps + 1j * math.sin(op.param) * flipped
-    # remaining kinds act only where the control bit q1 is set
-    sel = (((idx >> q1) & 1) == 1) & (((idx >> q2) & 1) == 0)
-    i0 = idx[sel]
-    i1 = i0 | (1 << q2)
-    out = amps.copy()
-    if g is Gate.CNOT:
-        out[i0], out[i1] = amps[i1], amps[i0]
-        return out
-    if g is Gate.CRY:
-        c, s = math.cos(op.param / 2), math.sin(op.param / 2)
-        out[i0] = c * amps[i0] - s * amps[i1]
-        out[i1] = s * amps[i0] + c * amps[i1]
-        return out
-    raise ValueError(f"cannot apply {g.value} as a unitary")
+    if g in TWO_QUBIT_GATES:
+        b00, b01, b10, b11 = _pair_blocks(amps, *op.targets)
+        if g is Gate.ZZ:    # exp(+i g) where the bits agree, exp(-i g) where not
+            pairs = ((b00, b01), (b11, b10))
+        elif g is Gate.XX:  # X@X flips both bits
+            pairs = ((b00, b11), (b01, b10))
+        else:               # CNOT and CRY act on q2 where the control q1 is 1
+            pairs = ((b10, b11),)
+    else:
+        v = amps.reshape(-1, 2, 1 << op.targets[0])
+        pairs = ((v[:, 0], v[:, 1]),)
+    for x, y in pairs:
+        _mix(g, op.param, x, y)
 
 
 def _check_targets(op: GateOp, n: int) -> None:
@@ -160,19 +186,16 @@ def apply_gate(state: StateVector, op: GateOp) -> StateVector:
     if op.gate is Gate.MEASURE:
         raise ValueError("apply_gate does not handle measurements; use apply_circuit")
     _check_targets(op, state.n_qubits)
-    return StateVector(state.n_qubits, _apply_op(state.amplitudes, state.n_qubits, op),
-                       _copy=False)
+    amps = state.amplitudes.copy()
+    _apply_op(amps, op)
+    return StateVector(state.n_qubits, amps, _copy=False)
 
 
-def _project_qubit(amps: np.ndarray, n: int, qubit: int, bit: int):
-    """(probability, renormalized amplitudes) of finding `qubit` equal to `bit`."""
-    idx = np.arange(amps.size)
-    keep = (((idx >> qubit) & 1) == bit)
-    prob = float(np.sum(np.abs(amps[keep]) ** 2))
-    if prob <= 0.0:
-        return 0.0, None
-    out = np.where(keep, amps, 0.0) / math.sqrt(prob)
-    return prob, out
+def _branch(amps: np.ndarray, qubit: int, bit: int) -> tuple[np.ndarray, float]:
+    """View of the amplitudes where `qubit` equals `bit`, and its probability.
+    The probability sums the branch in index order."""
+    view = amps.reshape(-1, 2, 1 << qubit)[:, bit]
+    return view, float(np.sum(np.abs(view.ravel()) ** 2))
 
 
 def project_qubit(state: StateVector, qubit: int, bit: int) -> tuple[float, StateVector | None]:
@@ -180,10 +203,26 @@ def project_qubit(state: StateVector, qubit: int, bit: int) -> tuple[float, Stat
     is None when the branch has zero probability."""
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    prob, amps = _project_qubit(state.amplitudes, state.n_qubits, qubit, bit)
-    if amps is None:
-        return prob, None
+    view, prob = _branch(state.amplitudes, qubit, bit)
+    if prob <= 0.0:
+        return 0.0, None
+    amps = np.zeros_like(state.amplitudes)
+    amps.reshape(-1, 2, 1 << qubit)[:, bit] = view / math.sqrt(prob)
     return prob, StateVector(state.n_qubits, amps, _copy=False)
+
+
+def _collapse(amps: np.ndarray, qubit: int, rng: np.random.Generator) -> int:
+    """Sample `qubit` with one rng.random() draw, collapse `amps` onto the
+    outcome in place, and return the outcome."""
+    ones, p1 = _branch(amps, qubit, 1)
+    outcome = 1 if rng.random() < p1 else 0
+    kept, prob = (ones, p1) if outcome else _branch(amps, qubit, 0)
+    if prob <= 0.0:
+        raise RuntimeError(f"sampled a zero-probability branch on qubit {qubit}; "
+                           "state is inconsistent")
+    kept /= math.sqrt(prob)
+    amps.reshape(-1, 2, 1 << qubit)[:, 1 - outcome] = 0.0
+    return outcome
 
 
 def measure_and_collapse(state: StateVector, qubit: int,
@@ -191,19 +230,15 @@ def measure_and_collapse(state: StateVector, qubit: int,
     """Sample one computational-basis outcome for `qubit` and collapse."""
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    p1, _ = _project_qubit(state.amplitudes, state.n_qubits, qubit, 1)
-    outcome = 1 if rng.random() < p1 else 0
-    prob, amps = _project_qubit(state.amplitudes, state.n_qubits, qubit, outcome)
-    if amps is None:
-        raise RuntimeError(f"sampled a zero-probability branch on qubit {qubit}; "
-                           "state is inconsistent")
+    amps = state.amplitudes.copy()
+    outcome = _collapse(amps, qubit, rng)
     return outcome, StateVector(state.n_qubits, amps, _copy=False)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit,
                   rng: np.random.Generator | None = None,
                   classical_out: dict[int, int] | None = None) -> StateVector:
-    """Run a gate program in order.
+    """Run a gate program in order on one copy of the input amplitudes.
 
     MEASURE ops consume randomness from `rng`, collapse the state, and record
     their outcome (when they carry a cbit) for later conditioned gates.
@@ -214,7 +249,6 @@ def apply_circuit(state: StateVector, circuit: Circuit,
                          f"state has {state.n_qubits}")
     circuit.validate()
     amps = state.amplitudes.copy()
-    n = state.n_qubits
     classical: dict[int, int] = {}
     for op in circuit.ops:
         if op.condition is not None and classical[op.condition[0]] != op.condition[1]:
@@ -222,16 +256,14 @@ def apply_circuit(state: StateVector, circuit: Circuit,
         if op.gate is Gate.MEASURE:
             if rng is None:
                 raise ValueError("circuit contains measurements but no rng was given")
-            outcome, collapsed = measure_and_collapse(StateVector(n, amps, _copy=False),
-                                                      op.targets[0], rng)
-            amps = collapsed.amplitudes
+            outcome = _collapse(amps, op.targets[0], rng)
             if op.cbit is not None:
                 classical[op.cbit] = outcome
         else:
-            amps = _apply_op(amps, n, op)
+            _apply_op(amps, op)
     if classical_out is not None:
         classical_out.update(classical)
-    return StateVector(n, amps, _copy=False)
+    return StateVector(state.n_qubits, amps, _copy=False)
 
 
 def born_probabilities(state: StateVector, qubits=None) -> np.ndarray:

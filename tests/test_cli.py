@@ -1,11 +1,17 @@
 """Command-line contract: flags, exit codes, file formats, replay determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import sgsim
 from sgsim.ansatz import ParamSet, build_reference_cat
 from sgsim.circuit import Circuit, zz
 from sgsim.cli import main
 from sgsim.layout import make_cross_layout
+from sgsim.state import MAX_QUBITS
 
 
 def run_cli(*argv):
@@ -211,6 +217,39 @@ def test_delayed_analytic_summary(tmp_path):
 def test_delayed_p_choice_validation(tmp_path):
     assert run_cli("delayed", "--reference", "--p-choice", "1.5",
                    "--out", str(tmp_path / "d.json")) == 64
+
+
+# -------------------------------------------------------------- register cap
+
+def test_register_cap_is_a_usage_error(tmp_path, capsys):
+    # 2^101..2^202 amplitudes can never be allocated: a command that skipped
+    # the check would fail at once instead of exhausting memory
+    out = str(tmp_path / "o.json")
+    for argv in (["run", "--order", "zx", "--reference"], ["wigner", "--reference"],
+                 ["delayed", "--reference"], ["delayed", "--reference", "--analytic"]):
+        assert run_cli(*argv, "--n-probes-half", "50", "--out", out) == 64
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "qubits" in err
+    assert run_cli("calibrate", "--n-probes-half", "50", "--out", out,
+                   "--report", str(tmp_path / "c.json")) == 64
+    assert "101 qubits" in capsys.readouterr().err
+    params = tmp_path / "p50.json"
+    params.write_text(ParamSet(50, (0.1,), (0.2,)).to_json())
+    assert run_cli("run", "--order", "zx", "--params", str(params), "--out", out) == 64
+    assert "201 qubits" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+    # the largest cross the experiments use, N=5 with the delayed-choice
+    # ancilla, stays within the cap
+    assert 4 * 5 + 2 <= MAX_QUBITS
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(sgsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, sgsim.cli; sys.exit('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0
 
 
 # ------------------------------------------------------------------- validate

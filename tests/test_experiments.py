@@ -221,14 +221,14 @@ def test_variational_wigner_conditioning(calibrated_n3, layout):
 def test_delayed_extreme_p_reproduces_pure_modes(layout):
     config = reference_config("xz")
 
-    branches = delayed_branch_distributions(config, layout, "midcircuit", 1.0)
+    branches = delayed_branch_distributions(config, layout, 1.0, ("midcircuit",))["midcircuit"]
     assert set(branches) == {1}
     weight, table = branches[1]
     assert weight == pytest.approx(1.0, abs=1e-12)
     sequential = analytic_distribution(config, layout)
     assert total_variation_distance(table, sequential) <= 1e-10
 
-    branches = delayed_branch_distributions(config, layout, "midcircuit", 0.0)
+    branches = delayed_branch_distributions(config, layout, 0.0, ("midcircuit",))["midcircuit"]
     assert set(branches) == {0}
     weight, table = branches[0]
     assert weight == pytest.approx(1.0, abs=1e-12)
@@ -258,6 +258,26 @@ def test_deferred_branch_mixture_is_the_deferred_distribution(params):
     initial = qubit_state(circuit.n_qubits, layout.center, 0.6, 0.8)
     exact = born_probabilities(apply_circuit(initial, circuit))
     assert np.max(np.abs(mixture - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("params", [None, ParamSet(2, (0.3, 1.1), (0.7, 2.0))])
+def test_shared_prefix_matches_per_mode_simulation(params):
+    # one prefix simulation serves both modes; each keeps its own readout
+    layout = make_cross_layout(2)
+    config = ExperimentConfig(N=2, order="xz", a=0.6, b=0.8, params=params)
+    shared = delayed_branch_distributions(config, layout, 0.3)
+    register = list(range(layout.n_qubits - 1, -1, -1))
+    for mode in ("midcircuit", "deferred"):
+        alone = delayed_branch_states(config, layout, mode, 0.3)
+        assert set(shared[mode]) == set(alone) == {0, 1}
+        for outcome, (weight, state) in alone.items():
+            shared_weight, shared_vector = shared[mode][outcome]
+            assert shared_weight == weight
+            assert np.array_equal(shared_vector, born_probabilities(state, register))
+        report = run_delayed_choice(config, layout, mode=mode, p_choice=0.3,
+                                    branches=shared)
+        assert report.to_dict() == run_delayed_choice(config, layout, mode=mode,
+                                                      p_choice=0.3).to_dict()
 
 
 def test_delayed_sampled_branches(layout):

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sgsim.circuit import Circuit, Gate, GateOp, cnot, cry, h, measure, ry, zz
-from sgsim.state import (apply_circuit, apply_gate, basis_state,
+from sgsim.circuit import (PARAMETRIC_GATES, TWO_QUBIT_GATES, Circuit, Gate,
+                           GateOp, cnot, cry, h, measure, ry, zz)
+from sgsim.state import (MAX_QUBITS, apply_circuit, apply_gate, basis_state,
                          born_probabilities, dense_unitary_oracle,
                          expectation_pauli_chain, fidelity, gate_matrix,
                          measure_and_collapse, project_qubit, qubit_state,
                          sample_shots, ShotHistogram, StateVector)
 
-from oracles import random_circuit
+from oracles import UNITARY_GATES, random_circuit
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -123,6 +125,69 @@ def test_apply_circuit_matches_oracle_on_random_circuits():
         expected = dense_unitary_oracle(circuit) @ amps
         np.testing.assert_allclose(apply_circuit(state, circuit).amplitudes,
                                    expected, atol=1e-12)
+
+
+@st.composite
+def unitary_circuits(draw):
+    """Circuits of every unitary kind on 2-6 qubits; two-qubit gates take any
+    ordered pair of distinct qubits, adjacent or not."""
+    n = draw(st.integers(2, 6))
+    ops = []
+    for gate in draw(st.lists(st.sampled_from(UNITARY_GATES), min_size=1, max_size=24)):
+        arity = 2 if gate in TWO_QUBIT_GATES else 1
+        targets = tuple(draw(st.lists(st.integers(0, n - 1), min_size=arity,
+                                      max_size=arity, unique=True)))
+        param = (draw(st.floats(-2 * math.pi, 2 * math.pi))
+                 if gate in PARAMETRIC_GATES else None)
+        ops.append(GateOp(gate, targets, param))
+    return Circuit(n, ops)
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unitary_circuits(), st.integers(0, 2**32 - 1))
+def test_kernels_match_oracle_on_any_targets(circuit, seed):
+    state = random_state(circuit.n_qubits, seed)
+    expected = dense_unitary_oracle(circuit) @ state.amplitudes
+    out = apply_circuit(state, circuit)
+    np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+    # apply_gate runs the same kernel, one copy per gate
+    stepped = state
+    for op in circuit.ops:
+        stepped = apply_gate(stepped, op)
+    assert np.array_equal(stepped.amplitudes, out.amplitudes)
+
+
+def test_simulation_never_mutates_its_input():
+    rng = np.random.default_rng(5)
+    circuit = random_circuit(rng, 5, 60)
+    circuit.extend([measure(2, cbit=0), ry(3, 0.4, condition=(0, 1)), measure(0)])
+    state = random_state(5, 6)
+    before = state.amplitudes.copy()
+    apply_circuit(state, circuit, rng=np.random.default_rng(7))
+    for op in circuit.ops:
+        if op.gate is not Gate.MEASURE:
+            apply_gate(state, op)
+    measure_and_collapse(state, 1, np.random.default_rng(8))
+    project_qubit(state, 4, 1)
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_register_size_is_capped():
+    # checked before any amplitude is allocated
+    with pytest.raises(ValueError, match="qubits"):
+        basis_state(MAX_QUBITS + 1)
+    with pytest.raises(ValueError, match="qubits"):
+        qubit_state(MAX_QUBITS + 1, 0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="qubits"):
+        StateVector(MAX_QUBITS + 1, np.zeros(2))
+    with pytest.raises(ValueError):
+        StateVector(0, np.zeros(1))
 
 
 def test_oracle_trivial_matrices():
