@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import ParamSet, build_sg_x, build_sg_z
+from .ansatz import ParamSet, build_sg_z
 from .layout import chain_pairs
-from .state import (StateVector, apply_circuit, basis_state,
-                    expectation_pauli_chain, fidelity, qubit_state)
+from .state import (StateVector, apply_circuit, expectation_pauli_chain,
+                    fidelity, qubit_state)
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -30,25 +30,24 @@ def _device_chain(N: int) -> list[int]:
     return list(range(2 * N + 1))
 
 
-def cost(params: ParamSet, basis: str = "z") -> float:
-    """Ising energy of the device output with the system qubit in the basis's
-    unbiased-reference state (|0> for Z, |+> for X). Bonds span the whole
-    chain, including the two touching the system qubit: leaving them out
-    would decouple the halves and never correlate probes across the center.
+def _device_output(params: ParamSet, a: complex, b: complex) -> StateVector:
+    """Output of the Z device on its 2N+1 chain for system-qubit input a|0>+b|1>."""
+    chain = _device_chain(params.N)
+    circuit = build_sg_z(params, chain)
+    return apply_circuit(qubit_state(circuit.n_qubits, chain[params.N], a, b), circuit)
+
+
+def cost(params: ParamSet) -> float:
+    """Ising energy of the Z device's output with the system qubit in |0>.
+
+    Bonds span the whole chain, including the two touching the system qubit:
+    leaving them out would decouple the halves and never correlate probes
+    across the center. The X device is the H⊗n conjugate of the Z layers, so
+    its cost with the system qubit in |+> is this same number and the
+    Z-calibrated angles serve both devices.
     """
-    N = params.N
-    chain = _device_chain(N)
-    bonds = chain_pairs(chain)
-    center = chain[N]
-    if basis == "z":
-        circuit = build_sg_z(params, chain)
-        state = basis_state(circuit.n_qubits)
-    elif basis == "x":
-        circuit = build_sg_x(params, chain)
-        state = qubit_state(circuit.n_qubits, center, _SQRT2_INV, _SQRT2_INV)
-    else:
-        raise ValueError("basis must be 'z' or 'x'")
-    return expectation_pauli_chain(apply_circuit(state, circuit), basis, bonds)
+    bonds = chain_pairs(_device_chain(params.N))
+    return expectation_pauli_chain(_device_output(params, 1.0, 0.0), "z", bonds)
 
 
 def cat_fidelity(params: ParamSet, a: complex, b: complex) -> float:
@@ -56,10 +55,7 @@ def cat_fidelity(params: ParamSet, a: complex, b: complex) -> float:
     ideal collective target a|0..0> + b|1..1>."""
     if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
         raise ValueError("input amplitudes must satisfy |a|^2+|b|^2 = 1")
-    N = params.N
-    chain = _device_chain(N)
-    circuit = build_sg_z(params, chain)
-    out = apply_circuit(qubit_state(circuit.n_qubits, chain[N], a, b), circuit)
+    out = _device_output(params, a, b)
     target = np.zeros(out.dim, dtype=np.complex128)
     target[0] = a
     target[-1] = b
@@ -76,6 +72,9 @@ class CalibrationReport:
     seed: int
     cat_fidelity_0: float
     cat_fidelity_plus: float
+    # one per restart, in order: start, best_cost, evaluations, and the
+    # optimizer's return status and message
+    restart_records: list[dict]
 
     def to_dict(self) -> dict:
         return {
@@ -87,6 +86,7 @@ class CalibrationReport:
             "seed": self.seed,
             "cat_fidelity_0": self.cat_fidelity_0,
             "cat_fidelity_plus": self.cat_fidelity_plus,
+            "restart_records": self.restart_records,
         }
 
     def to_json(self, path: str | Path | None = None) -> str:
@@ -103,35 +103,37 @@ def scipy_minimize(*args, **kwargs):
     return scipy_optimize_minimize(*args, **kwargs)
 
 
-def _run_restart(args) -> tuple[float, list[float], list[float]]:
-    """One local optimization; returns (best value, best angles, eval trace)."""
-    x0, N, m, basis, tolerance, max_iters = args
+def _run_restart(args) -> tuple[dict, list[float], list[float]]:
+    """One local optimization; returns (its record, best angles, eval trace)."""
+    x0, N, m, tolerance, max_iters = args
     trace: list[float] = []
     best = [math.inf, list(x0)]
 
     def objective(x):
-        value = cost(ParamSet(N, tuple(x[:m]), tuple(x[m:])), basis)
+        value = cost(ParamSet(N, tuple(x[:m]), tuple(x[m:])))
         trace.append(value)
         if value < best[0]:
             best[0] = value
             best[1] = [float(v) for v in x]
         return value
 
-    scipy_minimize(objective, np.asarray(x0), method="COBYLA",
-                   tol=tolerance, options={"maxiter": max_iters, "rhobeg": 0.5})
-    return best[0], best[1], trace
+    result = scipy_minimize(objective, np.asarray(x0), method="COBYLA", tol=tolerance,
+                            options={"maxiter": max_iters, "rhobeg": 0.5})
+    record = {"start": list(x0), "best_cost": float(best[0]), "evaluations": len(trace),
+              "status": int(result.status), "message": str(result.message)}
+    return record, best[1], trace
 
 
 def minimize(N: int, m: int, restarts: int = 20, seed: int = 0,
              tolerance: float = 1e-6, max_iters: int = 2000,
-             basis: str = "z", workers: int | None = 1) -> CalibrationReport:
+             workers: int | None = None) -> CalibrationReport:
     """Best-of-restarts COBYLA minimization of the device cost.
 
     Starts are drawn uniformly from [0, pi)^(2m) with a generator seeded by
-    `seed`, so the full report is reproducible. `workers` > 1 runs restarts
-    in separate processes, never more than there are restarts; None picks one
-    per CPU. Results are identical either way (restarts are independent and
-    merged in order).
+    `seed`, so the full report is reproducible. Restarts run in `workers`
+    separate processes, one per CPU by default (None) and never more than
+    there are restarts; 1 runs them in this process. Results are identical
+    either way (restarts are independent and merged in order).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -139,8 +141,7 @@ def minimize(N: int, m: int, restarts: int = 20, seed: int = 0,
         raise ValueError("need at least one layer")
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, math.pi, size=(restarts, 2 * m))
-    jobs = [(starts[r].tolist(), N, m, basis, tolerance, max_iters)
-            for r in range(restarts)]
+    jobs = [(starts[r].tolist(), N, m, tolerance, max_iters) for r in range(restarts)]
 
     if workers is None:
         workers = os.cpu_count() or 1
@@ -154,12 +155,12 @@ def minimize(N: int, m: int, restarts: int = 20, seed: int = 0,
     best_value, best_x = math.inf, None
     trace: list[tuple[int, float]] = []
     iteration = 0
-    for value, x, run_trace in results:
+    for record, x, run_trace in results:
         for v in run_trace:
             trace.append((iteration, float(v)))
             iteration += 1
-        if value < best_value:
-            best_value, best_x = value, x
+        if record["best_cost"] < best_value:
+            best_value, best_x = record["best_cost"], x
 
     best_params = ParamSet(N, tuple(best_x[:m]), tuple(best_x[m:]))
     return CalibrationReport(
@@ -171,4 +172,5 @@ def minimize(N: int, m: int, restarts: int = 20, seed: int = 0,
         seed=seed,
         cat_fidelity_0=cat_fidelity(best_params, 1.0, 0.0),
         cat_fidelity_plus=cat_fidelity(best_params, _SQRT2_INV, _SQRT2_INV),
+        restart_records=[record for record, _, _ in results],
     )

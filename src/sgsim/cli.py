@@ -211,11 +211,11 @@ def _cmd_calibrate(args) -> int:
     threshold = 0.9 * target if args.threshold is None else args.threshold
     report = minimize(args.n_probes_half, args.layers, restarts=args.restarts,
                       seed=args.seed, tolerance=args.tol, max_iters=args.max_iters,
-                      basis=args.basis, workers=_workers_from_env())
+                      workers=_workers_from_env())
     config = {
         "n_probes_half": args.n_probes_half, "layers": args.layers,
         "restarts": args.restarts, "tol": args.tol, "max_iters": args.max_iters,
-        "basis": args.basis, "threshold": threshold,
+        "threshold": threshold,
     }
     manifest = _manifest("calibrate", config, args.seed, [])
     _write_text_atomic(Path(args.out), report.best_params.to_json() + "\n")
@@ -323,9 +323,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--basis", choices=("z", "x"), default="z",
-                   help="calibrate the X-basis device separately instead of "
-                        "inheriting the Z-calibrated angles")
     p.add_argument("--threshold", type=float, default=None,
                    help="acceptance cost (default 0.9 * ground energy)")
     p.add_argument("--out", default="params.json", metavar="FILE")

@@ -100,15 +100,12 @@ def build_experiment_circuit(config: ExperimentConfig, layout: CrossLayout,
     return circuit
 
 
-def _initial_state(config: ExperimentConfig, n_qubits: int, center: int) -> StateVector:
-    return qubit_state(n_qubits, center, config.a, config.b)
-
-
 def experiment_state(config: ExperimentConfig, layout: CrossLayout,
                      *, wigner: bool = False) -> StateVector:
     """Final pre-measurement state of the (unitary) sequential circuit."""
     circuit = build_experiment_circuit(config, layout, readout=not wigner)
-    return apply_circuit(_initial_state(config, layout.n_qubits, layout.center), circuit)
+    return apply_circuit(qubit_state(layout.n_qubits, layout.center, config.a, config.b),
+                         circuit)
 
 
 def analytic_distribution(config: ExperimentConfig, layout: CrossLayout,
@@ -312,7 +309,8 @@ _BRANCH_WEIGHT_FLOOR = 1e-15  # drops rounding dust from cos(pi/2) etc.
 def _prefix_state(config: ExperimentConfig, layout: CrossLayout,
                   p_choice: float) -> StateVector:
     prefix, _ = _delayed_prefix(config, layout, p_choice)
-    return apply_circuit(_initial_state(config, prefix.n_qubits, layout.center), prefix)
+    return apply_circuit(qubit_state(prefix.n_qubits, layout.center, config.a, config.b),
+                         prefix)
 
 
 def _readout_branches(psi: StateVector, layout: CrossLayout, mode: str):

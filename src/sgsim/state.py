@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -302,7 +303,7 @@ class ShotHistogram:
     counts: np.ndarray
     shots: int
     n_qubits: int
-    bit_order: str = BIT_ORDER
+    bit_order: ClassVar[str] = BIT_ORDER
 
     def __post_init__(self):
         if self.shots < 1:
@@ -322,7 +323,7 @@ class ShotHistogram:
         return {"counts": {bitstring_key(int(i), self.n_qubits): int(self.counts[i])
                            for i in np.flatnonzero(self.counts)},
                 "shots": self.shots, "n_qubits": self.n_qubits,
-                "bit_order": self.bit_order}
+                "bit_order": BIT_ORDER}
 
 
 def histogram_from_samples(indices: np.ndarray, shots: int, n_qubits: int) -> ShotHistogram:

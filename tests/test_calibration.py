@@ -27,16 +27,6 @@ def test_cost_respects_variational_bound():
         assert cost(params) >= ground_energy(2) - 1e-9
 
 
-def test_x_basis_cost_equals_z_basis_cost():
-    # the X device is the Hadamard conjugate of the Z layers, so the
-    # inherited angles score identically in their own basis
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        params = ParamSet(2, tuple(rng.uniform(0, math.pi, 3)),
-                          tuple(rng.uniform(0, math.pi, 3)))
-        assert cost(params, "x") == pytest.approx(cost(params, "z"), abs=1e-12)
-
-
 def test_minimize_small_instance_reaches_ground():
     report = minimize(1, 1, restarts=4, seed=2)
     assert report.ground_energy == -2.0
@@ -93,6 +83,19 @@ def test_report_invariants(calibrated_n3):
     iterations = [i for i, _ in report.cost_trace]
     assert iterations == list(range(len(iterations)))
     assert report.restarts == 20 and report.seed == 0
+    records = report.restart_records
+    assert len(records) == report.restarts
+    assert sum(r["evaluations"] for r in records) == len(report.cost_trace)
+    for r in records:
+        assert type(r["status"]) is int
+        assert isinstance(r["message"], str) and r["message"]
+        assert len(r["start"]) == 6 and all(0.0 <= x < math.pi for x in r["start"])
+    # each record's best cost is the lowest value in its stretch of the trace
+    start = 0
+    for r in records:
+        stretch = [v for _, v in report.cost_trace[start:start + r["evaluations"]]]
+        assert r["best_cost"] == min(stretch)
+        start += r["evaluations"]
 
 
 def test_ground_cost_implies_cat_subspace(calibrated_n3):
@@ -128,8 +131,6 @@ def test_minimize_argument_validation():
         minimize(1, 1, restarts=0)
     with pytest.raises(ValueError):
         minimize(1, 0)
-    with pytest.raises(ValueError):
-        cost(ParamSet(1, (0.1,), (0.2,)), basis="y")
 
 
 def test_report_json_round_trip():

@@ -40,7 +40,11 @@ def test_calibrate_writes_params_and_report(tmp_path):
     # in the acceptance suite); the CLI run must land within 1e-3 of it
     assert abs(doc["calibration"]["best_cost"] - (-2.0)) <= 1e-3
     assert doc["manifest"]["command"] == "calibrate"
+    assert "basis" not in doc["manifest"]["config"]
     assert doc["calibration"]["cost_trace"]
+    records = doc["calibration"]["restart_records"]
+    assert len(records) == 3
+    assert sum(r["evaluations"] for r in records) == len(doc["calibration"]["cost_trace"])
 
 
 def test_calibrate_same_seed_same_file(tmp_path):
@@ -62,9 +66,17 @@ def test_calibrate_threshold_failure_exits_2(tmp_path, capsys):
     assert "--layers 2" in capsys.readouterr().err
 
 
-def test_calibrate_flag_validation(tmp_path):
+def test_calibrate_flag_validation(tmp_path, capsys):
     assert run_cli("calibrate", "--restarts", "0",
                    "--out", str(tmp_path / "p.json")) == 64
+    capsys.readouterr()
+    # the X device reuses the Z-calibrated angles; there is no X calibration
+    assert run_cli("calibrate", "--basis", "x", "--out", str(tmp_path / "p.json"),
+                   "--report", str(tmp_path / "c.json")) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--basis" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_calibrate_worker_env_does_not_change_results(tmp_path, monkeypatch):
