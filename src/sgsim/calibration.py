@@ -53,7 +53,7 @@ def cost(params: ParamSet) -> float:
 def cat_fidelity(params: ParamSet, a: complex, b: complex) -> float:
     """Overlap-squared of the device output for input a|0>+b|1> with the
     ideal collective target a|0..0> + b|1..1>."""
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
+    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("input amplitudes must satisfy |a|^2+|b|^2 = 1")
     out = _device_output(params, a, b)
     target = np.zeros(out.dim, dtype=np.complex128)

@@ -172,7 +172,10 @@ def _resolve_experiment(args, order: str, ancillas: int = 0
     return config, make_cross_layout(n_half)
 
 
-def _experiment_config_echo(args, config: ExperimentConfig, **extra) -> dict:
+def _emit_report(args, command: str, config: ExperimentConfig, report,
+                 extra: dict | None = None, **echo) -> int:
+    """Write the report with its manifest (the config echo plus `echo`) and
+    any `extra` top-level sections, and the CSV histogram if asked for."""
     echo = {
         "n_probes_half": config.N,
         "order": config.order,
@@ -180,19 +183,17 @@ def _experiment_config_echo(args, config: ExperimentConfig, **extra) -> dict:
         "input": {"a": [config.a.real, config.a.imag],
                   "b": [config.b.real, config.b.imag]},
         "source": config.source,
-        "params_file": args.params if args.params else None,
+        "params_file": args.params or None,
+        **echo,
     }
-    echo.update(extra)
-    return echo
-
-
-def _emit_report(args, report, manifest: dict, extra: dict | None = None) -> None:
-    doc = {"manifest": manifest, "report": report.to_dict()}
-    if extra:
-        doc.update(extra)
-    _write_json_atomic(Path(args.out), doc)
+    manifest = _manifest(command, echo, args.seed,
+                         [Path(args.params)] if args.params else [])
+    _write_json_atomic(Path(args.out), {"manifest": manifest, "report": report.to_dict(),
+                                        **(extra or {})})
     if args.csv:
         _write_text_atomic(Path(args.csv), _histogram_csv(report.raw))
+    print(f"report written to {args.out}")
+    return EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:
@@ -204,6 +205,8 @@ def _cmd_calibrate(args) -> int:
         raise _UsageError("--n-probes-half must be >= 1")
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise _UsageError("--tol must be a finite number > 0")
+    if args.threshold is not None and not math.isfinite(args.threshold):
+        raise _UsageError("--threshold must be a finite number")
     if args.max_iters < 1:
         raise _UsageError("--max-iters must be >= 1")
     _check_register_size(args.n_probes_half, 2 * args.n_probes_half + 1)
@@ -233,12 +236,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_run(args) -> int:
     config, layout = _resolve_experiment(args, args.order)
-    report = run_sequential(config, layout)
-    manifest = _manifest("run", _experiment_config_echo(args, config),
-                         args.seed, [Path(args.params)] if args.params else [])
-    _emit_report(args, report, manifest)
-    print(f"report written to {args.out}")
-    return EXIT_OK
+    return _emit_report(args, "run", config, run_sequential(config, layout))
 
 
 def _warn_if_uncalibrated(config: ExperimentConfig) -> None:
@@ -255,12 +253,7 @@ def _warn_if_uncalibrated(config: ExperimentConfig) -> None:
 def _cmd_wigner(args) -> int:
     config, layout = _resolve_experiment(args, "xz")
     _warn_if_uncalibrated(config)
-    report = run_wigner(config, layout)
-    manifest = _manifest("wigner", _experiment_config_echo(args, config),
-                         args.seed, [Path(args.params)] if args.params else [])
-    _emit_report(args, report, manifest)
-    print(f"report written to {args.out}")
-    return EXIT_OK
+    return _emit_report(args, "wigner", config, run_wigner(config, layout))
 
 
 def _cmd_delayed(args) -> int:
@@ -276,14 +269,8 @@ def _cmd_delayed(args) -> int:
     if args.analytic:
         extra = {"branch_equivalence": branch_equivalence_summary(
             config, layout, args.p_choice, branches=branches)}
-    manifest = _manifest(
-        "delayed",
-        _experiment_config_echo(args, config, mode=args.mode, p_choice=args.p_choice,
-                                analytic=bool(args.analytic)),
-        args.seed, [Path(args.params)] if args.params else [])
-    _emit_report(args, report, manifest, extra)
-    print(f"report written to {args.out}")
-    return EXIT_OK
+    return _emit_report(args, "delayed", config, report, extra, mode=args.mode,
+                        p_choice=args.p_choice, analytic=bool(args.analytic))
 
 
 def _cmd_validate(args) -> int:
@@ -296,11 +283,10 @@ def _cmd_validate(args) -> int:
         circuit = Circuit.from_json(path.read_text())
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _DataError(f"malformed circuit file {path}: {exc}")
-    layout = make_cross_layout(args.n_probes_half)
-    try:
-        violations = validate_nearest_neighbor(circuit, layout)
-    except ValueError as exc:
-        raise _DataError(str(exc))
+    n_qubits = 4 * args.n_probes_half + 1  # before the cross: its size grows with N
+    if circuit.n_qubits != n_qubits:
+        raise _DataError(f"circuit spans {circuit.n_qubits} qubits, layout has {n_qubits}")
+    violations = validate_nearest_neighbor(circuit, make_cross_layout(args.n_probes_half))
     if not violations:
         print(f"ok: every two-qubit gate is nearest-neighbor on the N={args.n_probes_half} cross")
         return EXIT_OK

@@ -62,11 +62,13 @@ class ExperimentConfig:
     params: ParamSet | None = None
 
     def __post_init__(self):
+        if self.N < 1:
+            raise ValueError("N must be >= 1")
         if self.order not in ORDERS:
             raise ValueError(f"order must be one of {ORDERS}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > 1e-12:
+        if not abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("input amplitudes must satisfy |a|^2+|b|^2 = 1")
         if self.params is not None and self.params.N != self.N:
             raise ValueError(f"params built for N={self.params.N}, config has N={self.N}")
@@ -76,13 +78,12 @@ class ExperimentConfig:
         return "reference_cat" if self.params is None else "variational"
 
 
-def _device_ops(basis: str, config: ExperimentConfig, layout: CrossLayout,
-                n_qubits: int) -> list:
+def _device_ops(basis: str, config: ExperimentConfig, layout: CrossLayout) -> list:
     chain = layout.vertical_arm if basis == "z" else layout.horizontal_arm
     if config.params is None:
-        return build_reference_cat(basis, chain, n_qubits).ops
+        return build_reference_cat(basis, chain).ops
     builder = build_sg_z if basis == "z" else build_sg_x
-    return builder(config.params, chain, n_qubits).ops
+    return builder(config.params, chain).ops
 
 
 def build_experiment_circuit(config: ExperimentConfig, layout: CrossLayout,
@@ -93,8 +94,8 @@ def build_experiment_circuit(config: ExperimentConfig, layout: CrossLayout,
         raise ValueError("layout and config disagree on N")
     circuit = Circuit(layout.n_qubits, roles=layout.role_map())
     first, second = ("z", "x") if config.order == "zx" else ("x", "z")
-    circuit.extend(_device_ops(first, config, layout, layout.n_qubits))
-    circuit.extend(_device_ops(second, config, layout, layout.n_qubits))
+    circuit.extend(_device_ops(first, config, layout))
+    circuit.extend(_device_ops(second, config, layout))
     if readout:
         circuit = attach_readout_rotations(circuit, layout.x_probes)
     return circuit
@@ -119,13 +120,17 @@ def decode_table(table: np.ndarray, layout: CrossLayout, *, x_rotated: bool,
                  with_parity: bool) -> dict:
     """Decode a count or probability vector indexed by basis state.
 
-    Qubits above the physical register (the delayed-choice ancilla) are
-    ignored. Returns the system-qubit marginal, collective votes, optional
-    parity classification, and the joint tables used for order-comparison
-    and parity conditioning, every one with its full alphabet. Integer
-    vectors give int cells, float vectors float cells.
+    The length must be a power of two covering the physical register;
+    qubits above it (the delayed-choice ancilla) are ignored. Returns the
+    system-qubit marginal, collective votes, optional parity classification,
+    and the joint tables used for order-comparison and parity conditioning,
+    every one with its full alphabet. Integer vectors give int cells, float
+    vectors float cells.
     """
     table = np.asarray(table)
+    if table.ndim != 1 or table.size < 1 << layout.n_qubits or table.size & (table.size - 1):
+        raise ValueError(f"a {layout.n_qubits}-qubit register needs a power-of-two "
+                         f"vector of length >= 2^{layout.n_qubits}, got shape {table.shape}")
     idx = np.arange(table.size)
     system = (idx >> layout.center) & 1
 
@@ -221,23 +226,41 @@ def _conditional_from_joint(joint: dict, outer_labels) -> dict:
     return out
 
 
+def _decoded(counts: np.ndarray, layout: CrossLayout, *, x_rotated: bool,
+             with_parity: bool) -> dict:
+    """The tables decode_table fills for these flags, plus P(system bit |
+    parity) when parity is decoded."""
+    decoded = decode_table(counts, layout, x_rotated=x_rotated, with_parity=with_parity)
+    decoded = {name: table for name, table in decoded.items() if table is not None}
+    if with_parity:
+        decoded["qs_given_parity"] = _conditional_from_joint(decoded["qs_parity_joint"],
+                                                             PARITY_LABELS)
+    return decoded
+
+
+def _report(hist: ShotHistogram, layout: CrossLayout, metadata: dict, *,
+            x_rotated: bool, with_parity: bool, **tables) -> ExperimentReport:
+    """Decode `hist` into a report; the joint tables and any extra `tables`
+    go under conditional_tables."""
+    decoded = _decoded(hist.counts, layout, x_rotated=x_rotated, with_parity=with_parity)
+    return ExperimentReport(
+        raw=hist,
+        qs_marginal=decoded.pop("qs_marginal"),
+        z_collective=decoded.pop("z_collective"),
+        x_collective=decoded.pop("x_collective", None),
+        parity=decoded.pop("parity", None),
+        conditional_tables={**decoded, **tables},
+        metadata=metadata,
+    )
+
+
 def run_sequential(config: ExperimentConfig, layout: CrossLayout) -> ExperimentReport:
     """Both devices in configured order, X-arm readout rotations attached,
     all qubits measured."""
-    state = experiment_state(config, layout)
-    rng = np.random.default_rng(config.seed)
-    hist = sample_shots(state, config.shots, rng)
-    decoded = decode_table(hist.counts, layout, x_rotated=True, with_parity=False)
-    return ExperimentReport(
-        raw=hist,
-        qs_marginal=decoded["qs_marginal"],
-        z_collective=decoded["z_collective"],
-        x_collective=decoded["x_collective"],
-        parity=None,
-        conditional_tables={"qs_z_joint": decoded["qs_z_joint"],
-                            "qs_x_joint": decoded["qs_x_joint"]},
-        metadata=_metadata(config, "sequential"),
-    )
+    hist = sample_shots(experiment_state(config, layout), config.shots,
+                        np.random.default_rng(config.seed))
+    return _report(hist, layout, _metadata(config, "sequential"),
+                   x_rotated=True, with_parity=False)
 
 
 def run_wigner(config: ExperimentConfig, layout: CrossLayout) -> ExperimentReport:
@@ -245,30 +268,19 @@ def run_wigner(config: ExperimentConfig, layout: CrossLayout) -> ExperimentRepor
     omitted so the X-arm parity selects the coherent branch."""
     if config.order != "xz":
         raise ValueError("the interferometer runs the X device first; use order='xz'")
-    state = experiment_state(config, layout, wigner=True)
-    rng = np.random.default_rng(config.seed)
-    hist = sample_shots(state, config.shots, rng)
-    decoded = decode_table(hist.counts, layout, x_rotated=False, with_parity=True)
-    return ExperimentReport(
-        raw=hist,
-        qs_marginal=decoded["qs_marginal"],
-        z_collective=decoded["z_collective"],
-        x_collective=None,
-        parity=decoded["parity"],
-        conditional_tables={
-            "qs_z_joint": decoded["qs_z_joint"],
-            "qs_parity_joint": decoded["qs_parity_joint"],
-            "qs_given_parity": _conditional_from_joint(decoded["qs_parity_joint"],
-                                                       PARITY_LABELS),
-        },
-        metadata=_metadata(config, "wigner"),
-    )
+    hist = sample_shots(experiment_state(config, layout, wigner=True), config.shots,
+                        np.random.default_rng(config.seed))
+    return _report(hist, layout, _metadata(config, "wigner"),
+                   x_rotated=False, with_parity=True)
 
 
 DELAYED_MODES = ("midcircuit", "deferred")
 
 
-def _check_delayed(modes, p_choice: float) -> None:
+def _check_delayed(config: ExperimentConfig, modes, p_choice: float) -> None:
+    if config.order != "xz":
+        raise ValueError("the delayed-choice experiment runs the X device first; "
+                         "use order='xz'")
     if any(mode not in DELAYED_MODES for mode in modes):
         raise ValueError("mode must be 'midcircuit' or 'deferred'")
     if not 0.0 <= p_choice <= 1.0:
@@ -277,14 +289,12 @@ def _check_delayed(modes, p_choice: float) -> None:
 
 def _delayed_prefix(config: ExperimentConfig, layout: CrossLayout,
                     p_choice: float) -> tuple[Circuit, int]:
-    """Ancilla preparation plus both devices (X first); readout handling is
-    appended by the caller per mode."""
-    n = layout.n_qubits + 1
+    """Ancilla preparation plus both devices in the config's (checked 'xz')
+    order; readout handling is appended by the caller per mode."""
     ancilla = layout.n_qubits
-    circuit = Circuit(n, roles=layout.role_map(ancilla=ancilla))
+    circuit = Circuit(ancilla + 1, roles=layout.role_map(ancilla=ancilla))
     circuit.append(ry(ancilla, 2.0 * math.asin(math.sqrt(p_choice))))
-    circuit.extend(_device_ops("x", config, layout, n))
-    circuit.extend(_device_ops("z", config, layout, n))
+    circuit.extend(build_experiment_circuit(config, layout, readout=False).ops)
     return circuit, ancilla
 
 
@@ -293,7 +303,7 @@ def delayed_choice_circuit(config: ExperimentConfig, layout: CrossLayout,
     """Full delayed-choice program. midcircuit: collapse the ancilla after the
     second device and classically condition the readout rotations on it.
     deferred: controlled rotations from the ancilla, measured terminally."""
-    _check_delayed((mode,), p_choice)
+    _check_delayed(config, (mode,), p_choice)
     circuit, ancilla = _delayed_prefix(config, layout, p_choice)
     if mode == "deferred":
         circuit.extend(cry(ancilla, q, READOUT_ANGLE) for q in layout.x_probes)
@@ -337,7 +347,7 @@ def delayed_branch_states(config: ExperimentConfig, layout: CrossLayout,
     """Ancilla-resolved final states of one mode: {outcome: (weight, state)}.
     Branches of negligible weight are omitted. The ancilla qubit inside each
     state is collapsed to its outcome."""
-    _check_delayed((mode,), p_choice)
+    _check_delayed(config, (mode,), p_choice)
     psi = _prefix_state(config, layout, p_choice)
     return {outcome: (weight, state)
             for outcome, weight, state in _readout_branches(psi, layout, mode)}
@@ -350,7 +360,7 @@ def delayed_branch_distributions(config: ExperimentConfig, layout: CrossLayout,
     branch of each mode: {mode: {outcome: (weight, vector)}}. One prefix
     simulation serves every mode; each mode applies its own readout to it.
     Only the vectors are kept, never the branch states."""
-    _check_delayed(modes, p_choice)
+    _check_delayed(config, modes, p_choice)
     psi = _prefix_state(config, layout, p_choice)
     register = list(range(layout.n_qubits - 1, -1, -1))
     return {mode: {outcome: (weight, born_probabilities(state, register))
@@ -381,25 +391,6 @@ def branch_equivalence_summary(config: ExperimentConfig, layout: CrossLayout,
             "max_weight_difference": max_weight_diff}
 
 
-def _branch_report(counts: np.ndarray, layout: CrossLayout, outcome: int) -> dict:
-    shots = int(counts.sum())
-    decoded = decode_table(counts, layout, x_rotated=(outcome == 1),
-                           with_parity=(outcome == 0))
-    entry = {"shots": shots,
-             "qs_marginal": decoded["qs_marginal"],
-             "z_collective": decoded["z_collective"],
-             "qs_z_joint": decoded["qs_z_joint"]}
-    if outcome == 1:
-        entry["x_collective"] = decoded["x_collective"]
-        entry["qs_x_joint"] = decoded["qs_x_joint"]
-    else:
-        entry["parity"] = decoded["parity"]
-        entry["qs_parity_joint"] = decoded["qs_parity_joint"]
-        entry["qs_given_parity"] = _conditional_from_joint(
-            decoded["qs_parity_joint"], PARITY_LABELS)
-    return entry
-
-
 def run_delayed_choice(config: ExperimentConfig, layout: CrossLayout,
                        mode: str = "midcircuit", p_choice: float = 0.5,
                        branches: dict | None = None) -> ExperimentReport:
@@ -408,10 +399,7 @@ def run_delayed_choice(config: ExperimentConfig, layout: CrossLayout,
     which-way statistics, branch 0 the interferometer statistics.
     `branches`, if given, is delayed_branch_distributions for at least
     this mode."""
-    if config.order != "xz":
-        raise ValueError("the delayed-choice experiment runs the X device first; "
-                         "use order='xz'")
-    _check_delayed((mode,), p_choice)
+    _check_delayed(config, (mode,), p_choice)
     if branches is None:
         branches = delayed_branch_distributions(config, layout, p_choice, (mode,))
     # The ancilla-resolved branches are orthogonal, so their weighted mixture
@@ -427,22 +415,14 @@ def run_delayed_choice(config: ExperimentConfig, layout: CrossLayout,
     rng = np.random.default_rng(config.seed)
     draws = rng.choice(1 << n_total, size=config.shots, p=mixture)
     hist = histogram_from_samples(draws, config.shots, n_total)
-
-    by_ancilla = {str(outcome): _branch_report(counts, layout, outcome)
+    # branch 1 had its readout rotations, branch 0 keeps the parity
+    by_ancilla = {str(outcome): {"shots": int(counts.sum()),
+                                 **_decoded(counts, layout, x_rotated=outcome == 1,
+                                            with_parity=outcome == 0)}
                   for outcome, counts in enumerate(hist.counts.reshape(2, -1))}
-
-    decoded = decode_table(hist.counts, layout, x_rotated=False, with_parity=False)
-    return ExperimentReport(
-        raw=hist,
-        qs_marginal=decoded["qs_marginal"],
-        z_collective=decoded["z_collective"],
-        x_collective=None,
-        parity=None,
-        conditional_tables={"qs_z_joint": decoded["qs_z_joint"],
-                            "by_ancilla": by_ancilla},
-        metadata=_metadata(config, f"delayed_{mode}", p_choice=p_choice,
-                           ancilla=ancilla),
-    )
+    return _report(hist, layout, _metadata(config, f"delayed_{mode}", p_choice=p_choice,
+                                           ancilla=ancilla),
+                   x_rotated=False, with_parity=False, by_ancilla=by_ancilla)
 
 
 def total_variation_distance(table_a, table_b) -> float:

@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateOp, TWO_QUBIT_GATES
+from .circuit import Circuit, Gate, GateOp, TWO_QUBIT_GATES, measure
 
 BIT_ORDER = "q[n-1]..q[0]: leftmost character is the highest qubit index"
 
@@ -56,9 +56,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> StateVector:
-        return StateVector(self.n_qubits, self.amplitudes)
 
     def __repr__(self):
         return f"StateVector(n_qubits={self.n_qubits})"
@@ -228,12 +225,11 @@ def _collapse(amps: np.ndarray, qubit: int, rng: np.random.Generator) -> int:
 
 def measure_and_collapse(state: StateVector, qubit: int,
                          rng: np.random.Generator) -> tuple[int, StateVector]:
-    """Sample one computational-basis outcome for `qubit` and collapse."""
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    amps = state.amplitudes.copy()
-    outcome = _collapse(amps, qubit, rng)
-    return outcome, StateVector(state.n_qubits, amps, _copy=False)
+    """Sample one computational-basis outcome for `qubit` and collapse: a
+    one-measurement program run through apply_circuit."""
+    bits: dict[int, int] = {}
+    post = apply_circuit(state, Circuit(state.n_qubits, [measure(qubit, cbit=0)]), rng, bits)
+    return bits[0], post
 
 
 def apply_circuit(state: StateVector, circuit: Circuit,

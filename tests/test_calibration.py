@@ -124,6 +124,8 @@ def test_cat_fidelity_rejects_unnormalized_input():
     params = ParamSet(1, (0.1,), (0.2,))
     with pytest.raises(ValueError):
         cat_fidelity(params, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        cat_fidelity(params, math.nan, 0.0)
 
 
 def test_minimize_argument_validation():

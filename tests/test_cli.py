@@ -1,5 +1,6 @@
 """Command-line contract: flags, exit codes, file formats, replay determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -99,7 +100,8 @@ def test_calibrate_worker_env_does_not_change_results(tmp_path, monkeypatch):
 
 def test_calibrate_tol_and_max_iters_validation(tmp_path, capsys):
     cases = [("--tol", "-1", "--max-iters", "0"), ("--tol", "0"), ("--tol", "nan"),
-             ("--tol", "inf"), ("--max-iters", "0")]
+             ("--tol", "inf"), ("--max-iters", "0"), ("--threshold", "nan"),
+             ("--threshold", "inf")]
     for flags in cases:
         rc = run_cli("calibrate", "--n-probes-half", "1", "--layers", "1",
                      "--restarts", "1", *flags, "--out", str(tmp_path / "p.json"),
@@ -285,7 +287,7 @@ def test_validate_flags_illegal_coupling(tmp_path, capsys):
     assert "1 violation" in out and "(0, 2)" in out
 
 
-def test_validate_malformed_and_empty(tmp_path):
+def test_validate_malformed_and_empty(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
     assert run_cli("validate", "--circuit", str(bad), "--n-probes-half", "1") == 65
@@ -297,6 +299,15 @@ def test_validate_malformed_and_empty(tmp_path):
     mismatched = tmp_path / "mismatch.json"
     Circuit(6).to_json(mismatched)
     assert run_cli("validate", "--circuit", str(mismatched), "--n-probes-half", "1") == 65
+
+    # the register size is compared before the cross is built
+    def no_cross(n):
+        raise AssertionError(f"built the N={n} cross for a mismatched circuit")
+    monkeypatch.setattr(sgsim.cli, "make_cross_layout", no_cross)
+    capsys.readouterr()
+    assert run_cli("validate", "--circuit", str(empty), "--n-probes-half", "1000000000") == 65
+    assert capsys.readouterr().err == ("error: circuit spans 5 qubits, "
+                                       "layout has 4000000001\n")
 
 
 def test_validate_rejects_empty_arm(tmp_path, capsys):
@@ -327,3 +338,19 @@ def test_manifest_records_input_hash(tmp_path):
     (entry,) = doc["manifest"]["input_files"]
     assert entry["path"] == str(params_file)
     assert len(entry["sha256"]) == 64
+
+
+# ------------------------------------------------------------- tracing hooks
+
+def test_every_traced_name_exists():
+    """`perfbench/run.py --trace 1` looks each spanned function up by name."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.SPANNED.items():
+        module = importlib.import_module(f"sgsim.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"sgsim.{layer}.{name}"
+    assert callable(sgsim.calibration.scipy_minimize)
+    assert callable(Circuit.validate)

@@ -99,6 +99,11 @@ def test_decode_table_matches_reference_decoders(N):
         for name, table in decoded.items():
             for key, value in table.items():
                 assert value == pytest.approx(expected.get((name, key), 0), abs=tol)
+    # a vector that is too short, not a power of two long, or not flat is refused
+    for bad in (np.ones(1 << (layout.n_qubits - 1)), np.ones(size - 1),
+                np.ones((2, 1 << layout.n_qubits))):
+        with pytest.raises(ValueError, match="power-of-two"):
+            decode_table(bad, layout, x_rotated=True, with_parity=True)
 
 
 # ------------------------------------------------------------------------ tvd
@@ -302,8 +307,15 @@ def test_delayed_input_validation(layout):
         run_delayed_choice(config, layout, p_choice=1.5)
     with pytest.raises(ValueError):
         run_delayed_choice(config, layout, mode="sometimes")
-    with pytest.raises(ValueError):
-        run_delayed_choice(reference_config("zx"), layout)
+    # every delayed entry point runs the X device first and refuses 'zx'
+    zx = reference_config("zx")
+    for call in (lambda: run_delayed_choice(zx, layout),
+                 lambda: delayed_choice_circuit(zx, layout, "deferred", 0.5),
+                 lambda: delayed_branch_states(zx, layout, "midcircuit", 0.5),
+                 lambda: delayed_branch_distributions(zx, layout, 0.5),
+                 lambda: branch_equivalence_summary(zx, layout, 0.5)):
+        with pytest.raises(ValueError, match="order='xz'"):
+            call()
 
 
 # ------------------------------------------------------------- config contract
@@ -315,6 +327,12 @@ def test_config_validation():
         ExperimentConfig(N=3, shots=0)
     with pytest.raises(ValueError):
         ExperimentConfig(N=3, a=1.0, b=1.0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(N=3, a=math.nan)
+    with pytest.raises(ValueError):
+        ExperimentConfig(N=3, a=1.0, b=complex(0.0, math.nan))
+    with pytest.raises(ValueError):
+        ExperimentConfig(N=0)
     from sgsim.ansatz import ParamSet
     with pytest.raises(ValueError):
         ExperimentConfig(N=3, params=ParamSet(2, (0.1, 0.2), (0.3, 0.4)))

@@ -291,10 +291,15 @@ def test_collapse_on_definite_qubit():
 
 def test_collapse_on_plus_gives_exact_basis_state():
     for seed in range(6):
-        outcome, post = measure_and_collapse(plus_state(), 0, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        outcome, post = measure_and_collapse(plus_state(), 0, rng)
         expected = np.zeros(2)
         expected[outcome] = 1.0
         np.testing.assert_allclose(post.amplitudes, expected, atol=1e-15)
+        # one rng.random() draw decides the outcome, and it is the only draw
+        replay = np.random.default_rng(seed)
+        assert outcome == int(replay.random() < 0.5)
+        assert rng.random() == replay.random()
 
 
 def test_collapse_bell_correlations():
