@@ -1,6 +1,14 @@
 """Variational calibration of the measurement circuits: minimize the
-nearest-neighbor Ising energy of the device output with a derivative-free
-optimizer, and score the achieved cat state."""
+nearest-neighbor Ising energy of the device output with L-BFGS-B
+(finite-difference gradients), and score the achieved cat state.
+
+Both numbers are computed on one N-qubit half of the 2N+1 chain. No gate of
+the Z device flips the system qubit (ZZ is diagonal, H and RX act only on
+probes), so with the system in |c> each center bond ZZ(gamma) acts as
+RZ(+-gamma) on the probe next to the center, and the two halves evolve
+independently as mirror images of each other. Half-chain qubit 0 is the
+probe next to the center.
+"""
 
 from __future__ import annotations
 
@@ -13,10 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import ParamSet, build_sg_z
-from .layout import chain_pairs
-from .state import (StateVector, apply_circuit, expectation_pauli_chain,
-                    fidelity, qubit_state)
+from .ansatz import ParamSet
+from .circuit import Gate
+from .state import _mix
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -26,15 +33,24 @@ def ground_energy(N: int) -> float:
     return -2.0 * N
 
 
-def _device_chain(N: int) -> list[int]:
-    return list(range(2 * N + 1))
+def _half_diagonal(N: int, center_bit: int) -> np.ndarray:
+    """Ising diagonal of one half with the system qubit in |center_bit>:
+    sum of z_i z_(i+1) along the half, plus z_0 z_center for the center bond."""
+    z = 1 - 2 * ((np.arange(1 << N)[:, None] >> np.arange(N)) & 1)
+    return (z[:, :-1] * z[:, 1:]).sum(axis=1) + (1 - 2 * center_bit) * z[:, 0]
 
 
-def _device_output(params: ParamSet, a: complex, b: complex) -> StateVector:
-    """Output of the Z device on its 2N+1 chain for system-qubit input a|0>+b|1>."""
-    chain = _device_chain(params.N)
-    circuit = build_sg_z(params, chain)
-    return apply_circuit(qubit_state(circuit.n_qubits, chain[params.N], a, b), circuit)
+def _half_output(params: ParamSet, diagonal: np.ndarray) -> np.ndarray:
+    """Amplitudes of one half after the Z device: Hadamards, then per layer
+    the ZZ couplings as one diagonal phase and RX(beta) on every probe."""
+    N = params.N
+    amps = np.full(1 << N, 2.0 ** (-N / 2), dtype=np.complex128)
+    for gamma, beta in zip(params.gamma, params.beta):
+        amps *= np.exp(1j * gamma * diagonal)
+        for q in range(N):
+            v = amps.reshape(-1, 2, 1 << q)
+            _mix(Gate.RX, beta, v[:, 0], v[:, 1])
+    return amps
 
 
 def cost(params: ParamSet) -> float:
@@ -42,24 +58,28 @@ def cost(params: ParamSet) -> float:
 
     Bonds span the whole chain, including the two touching the system qubit:
     leaving them out would decouple the halves and never correlate probes
-    across the center. The X device is the H⊗n conjugate of the Z layers, so
-    its cost with the system qubit in |+> is this same number and the
+    across the center. The halves mirror each other, so this is twice one
+    half's energy. The X device is the H⊗n conjugate of the Z layers, so its
+    cost with the system qubit in |+> is this same number and the
     Z-calibrated angles serve both devices.
     """
-    bonds = chain_pairs(_device_chain(params.N))
-    return expectation_pauli_chain(_device_output(params, 1.0, 0.0), "z", bonds)
+    diagonal = _half_diagonal(params.N, 0)
+    probs = np.abs(_half_output(params, diagonal)) ** 2
+    return -2.0 * float(np.dot(probs, diagonal))
 
 
 def cat_fidelity(params: ParamSet, a: complex, b: complex) -> float:
     """Overlap-squared of the device output for input a|0>+b|1> with the
-    ideal collective target a|0..0> + b|1..1>."""
+    ideal collective target a|0..0> + b|1..1>.
+
+    The output is a|0>|L0>|R0> + b|1>|L1>|R1>, with R_c the mirror image of
+    L_c, so the overlap is |a|^2 L0[0..0]^2 + |b|^2 L1[1..1]^2.
+    """
     if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("input amplitudes must satisfy |a|^2+|b|^2 = 1")
-    out = _device_output(params, a, b)
-    target = np.zeros(out.dim, dtype=np.complex128)
-    target[0] = a
-    target[-1] = b
-    return fidelity(out, StateVector(out.n_qubits, target, _copy=False))
+    zeros = _half_output(params, _half_diagonal(params.N, 0))[0]
+    ones = _half_output(params, _half_diagonal(params.N, 1))[-1]
+    return float(abs(abs(a) ** 2 * zeros ** 2 + abs(b) ** 2 * ones ** 2) ** 2)
 
 
 @dataclass
@@ -67,13 +87,14 @@ class CalibrationReport:
     best_params: ParamSet
     best_cost: float
     ground_energy: float
+    # each restart's start cost, then its cost after every iteration
     cost_trace: list[tuple[int, float]]
     restarts: int
     seed: int
     cat_fidelity_0: float
     cat_fidelity_plus: float
-    # one per restart, in order: start, best_cost, evaluations, and the
-    # optimizer's return status and message
+    # one per restart, in order: start, best_cost, evaluations (cost calls),
+    # iterations, and the optimizer's return status and message
     restart_records: list[dict]
 
     def to_dict(self) -> dict:
@@ -104,41 +125,54 @@ def scipy_minimize(*args, **kwargs):
 
 
 def _run_restart(args) -> tuple[dict, list[float], list[float]]:
-    """One local optimization; returns (its record, best angles, eval trace)."""
+    """One local optimization; returns (its record, final angles, cost trace).
+
+    The trace holds the start cost, then the cost after each L-BFGS-B
+    iteration. Its finite-difference probes are counted in `evaluations` but
+    not traced.
+    """
     x0, N, m, tolerance, max_iters = args
-    trace: list[float] = []
-    best = [math.inf, list(x0)]
+    evaluations = 0
 
     def objective(x):
-        value = cost(ParamSet(N, tuple(x[:m]), tuple(x[m:])))
-        trace.append(value)
-        if value < best[0]:
-            best[0] = value
-            best[1] = [float(v) for v in x]
-        return value
+        nonlocal evaluations
+        evaluations += 1
+        return cost(ParamSet(N, tuple(x[:m]), tuple(x[m:])))
 
-    result = scipy_minimize(objective, np.asarray(x0), method="COBYLA", tol=tolerance,
-                            options={"maxiter": max_iters, "rhobeg": 0.5})
-    record = {"start": list(x0), "best_cost": float(best[0]), "evaluations": len(trace),
+    start = np.asarray(x0)
+    trace = [objective(start)]
+
+    def on_iteration(intermediate_result):
+        trace.append(float(intermediate_result.fun))
+
+    result = scipy_minimize(objective, start, method="L-BFGS-B", tol=tolerance,
+                            callback=on_iteration, options={"maxiter": max_iters})
+    record = {"start": list(x0), "best_cost": float(result.fun),
+              "evaluations": evaluations, "iterations": int(result.nit),
               "status": int(result.status), "message": str(result.message)}
-    return record, best[1], trace
+    return record, [float(v) for v in result.x], trace
 
 
 def minimize(N: int, m: int, restarts: int = 20, seed: int = 0,
              tolerance: float = 1e-6, max_iters: int = 2000,
              workers: int | None = None) -> CalibrationReport:
-    """Best-of-restarts COBYLA minimization of the device cost.
+    """Best-of-restarts L-BFGS-B minimization of the device cost.
 
-    Starts are drawn uniformly from [0, pi)^(2m) with a generator seeded by
-    `seed`, so the full report is reproducible. Restarts run in `workers`
-    separate processes, one per CPU by default (None) and never more than
-    there are restarts; 1 runs them in this process. Results are identical
-    either way (restarts are independent and merged in order).
+    Each restart runs L-BFGS-B with finite-difference gradients; `tolerance`
+    is its ftol and gtol, `max_iters` its iteration cap, and the restart's
+    result is its final iterate. Starts are drawn uniformly from [0, pi)^(2m)
+    with a generator seeded by `seed`, so the full report is reproducible.
+    Restarts run in `workers` separate processes, one per CPU by default
+    (None) and never more than there are restarts; 1 runs them in this
+    process. Results are identical either way (restarts are independent and
+    merged in order).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if m < 1:
         raise ValueError("need at least one layer")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, math.pi, size=(restarts, 2 * m))
     jobs = [(starts[r].tolist(), N, m, tolerance, max_iters) for r in range(restarts)]
@@ -152,20 +186,13 @@ def minimize(N: int, m: int, restarts: int = 20, seed: int = 0,
     else:
         results = [_run_restart(job) for job in jobs]
 
-    best_value, best_x = math.inf, None
-    trace: list[tuple[int, float]] = []
-    iteration = 0
-    for record, x, run_trace in results:
-        for v in run_trace:
-            trace.append((iteration, float(v)))
-            iteration += 1
-        if record["best_cost"] < best_value:
-            best_value, best_x = record["best_cost"], x
+    trace = list(enumerate(v for _, _, run_trace in results for v in run_trace))
+    best_record, best_x, _ = min(results, key=lambda result: result[0]["best_cost"])
 
     best_params = ParamSet(N, tuple(best_x[:m]), tuple(best_x[m:]))
     return CalibrationReport(
         best_params=best_params,
-        best_cost=float(best_value),
+        best_cost=best_record["best_cost"],
         ground_energy=ground_energy(N),
         cost_trace=trace,
         restarts=restarts,

@@ -153,10 +153,16 @@ def _check_register_size(n_half: int, qubits: int) -> None:
                           f"allows at most {MAX_QUBITS}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise _UsageError("--seed must be >= 0")
+
+
 def _resolve_experiment(args, order: str, ancillas: int = 0
                         ) -> tuple[ExperimentConfig, object]:
     if args.shots < 1:
         raise _UsageError("--shots must be >= 1")
+    _check_seed(args.seed)
     a, b = _parse_input_pair(args.input)
     params = None
     if args.params:
@@ -209,6 +215,7 @@ def _cmd_calibrate(args) -> int:
         raise _UsageError("--threshold must be a finite number")
     if args.max_iters < 1:
         raise _UsageError("--max-iters must be >= 1")
+    _check_seed(args.seed)
     _check_register_size(args.n_probes_half, 2 * args.n_probes_half + 1)
     target = ground_energy(args.n_probes_half)
     threshold = 0.9 * target if args.threshold is None else args.threshold
@@ -307,8 +314,10 @@ def build_parser() -> _Parser:
     p.add_argument("--layers", type=int, default=3, metavar="M")
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=2000)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="L-BFGS-B ftol and gtol of each restart (default 1e-6)")
+    p.add_argument("--max-iters", type=int, default=2000,
+                   help="L-BFGS-B iteration cap of each restart (default 2000)")
     p.add_argument("--threshold", type=float, default=None,
                    help="acceptance cost (default 0.9 * ground energy)")
     p.add_argument("--out", default="params.json", metavar="FILE")

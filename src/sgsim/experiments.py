@@ -68,6 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"order must be one of {ORDERS}")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("input amplitudes must satisfy |a|^2+|b|^2 = 1")
         if self.params is not None and self.params.N != self.N:

@@ -5,10 +5,15 @@ from __future__ import annotations
 
 import math
 
-from sgsim.ansatz import ParamSet
+import numpy as np
+
+from sgsim.ansatz import ParamSet, build_sg_z
 from sgsim.calibration import cost
 from sgsim.circuit import (PARAMETRIC_GATES, TWO_QUBIT_GATES, Circuit, Gate,
                            GateOp)
+from sgsim.layout import chain_pairs
+from sgsim.state import (StateVector, apply_circuit, expectation_pauli_chain,
+                         fidelity, qubit_state)
 
 UNITARY_GATES = tuple(g for g in Gate if g is not Gate.MEASURE)
 
@@ -38,6 +43,28 @@ def grid_scan_min(N: int = 1, resolution: float = math.pi / 200) -> float:
             if value < best:
                 best = value
     return best
+
+
+def _full_chain_output(params: ParamSet, a: complex, b: complex) -> StateVector:
+    """Z device simulated gate by gate on its whole 2N+1 chain, system qubit
+    in the middle with input a|0>+b|1>."""
+    n = 2 * params.N + 1
+    circuit = build_sg_z(params, range(n))
+    return apply_circuit(qubit_state(n, params.N, a, b), circuit)
+
+
+def full_chain_cost(params: ParamSet) -> float:
+    """Ising energy over every bond of the 2N+1 chain, system qubit in |0>."""
+    out = _full_chain_output(params, 1.0, 0.0)
+    return expectation_pauli_chain(out, "z", chain_pairs(range(out.n_qubits)))
+
+
+def full_chain_cat_fidelity(params: ParamSet, a: complex, b: complex) -> float:
+    """Fidelity of the full-chain output with a|0..0> + b|1..1>."""
+    out = _full_chain_output(params, a, b)
+    target = np.zeros(out.dim, dtype=np.complex128)
+    target[0], target[-1] = a, b
+    return fidelity(out, StateVector(out.n_qubits, target))
 
 
 def binomial_sigma(p: float, shots: int) -> float:

@@ -11,12 +11,28 @@ from sgsim.ansatz import ParamSet, build_sg_z
 from sgsim.calibration import cat_fidelity, cost, ground_energy, minimize
 from sgsim.state import apply_circuit, basis_state
 
+from oracles import full_chain_cat_fidelity, full_chain_cost
+
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
 
 def test_zero_parameters_cost_vanishes():
     params = ParamSet(3, (0.0,) * 3, (0.0,) * 3)
     assert cost(params) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_half_chain_matches_full_chain_oracle():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        N, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        params = ParamSet(N, tuple(rng.uniform(0, 2 * math.pi, m)),
+                          tuple(rng.uniform(0, 2 * math.pi, m)))
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        norm = math.hypot(abs(a), abs(b))
+        a, b = a / norm, b / norm
+        assert abs(cost(params) - full_chain_cost(params)) <= 1e-12
+        assert abs(cat_fidelity(params, a, b)
+                   - full_chain_cat_fidelity(params, a, b)) <= 1e-12
 
 
 def test_cost_respects_variational_bound():
@@ -85,17 +101,32 @@ def test_report_invariants(calibrated_n3):
     assert report.restarts == 20 and report.seed == 0
     records = report.restart_records
     assert len(records) == report.restarts
-    assert sum(r["evaluations"] for r in records) == len(report.cost_trace)
+    # the trace holds each restart's start cost, then one entry per iteration
+    assert sum(r["iterations"] + 1 for r in records) == len(report.cost_trace)
     for r in records:
         assert type(r["status"]) is int
+        assert 0 <= r["iterations"] < r["evaluations"]
         assert isinstance(r["message"], str) and r["message"]
         assert len(r["start"]) == 6 and all(0.0 <= x < math.pi for x in r["start"])
     # each record's best cost is the lowest value in its stretch of the trace
     start = 0
     for r in records:
-        stretch = [v for _, v in report.cost_trace[start:start + r["evaluations"]]]
+        stretch = [v for _, v in report.cost_trace[start:start + r["iterations"] + 1]]
         assert r["best_cost"] == min(stretch)
-        start += r["evaluations"]
+        start += r["iterations"] + 1
+
+
+def test_evaluations_count_cost_calls(monkeypatch):
+    calls = []
+    real_cost = sgsim.calibration.cost
+
+    def counting_cost(params):
+        calls.append(params)
+        return real_cost(params)
+
+    monkeypatch.setattr(sgsim.calibration, "cost", counting_cost)
+    report = minimize(1, 2, restarts=3, seed=4, workers=1)
+    assert sum(r["evaluations"] for r in report.restart_records) == len(calls)
 
 
 def test_ground_cost_implies_cat_subspace(calibrated_n3):
@@ -133,6 +164,8 @@ def test_minimize_argument_validation():
         minimize(1, 1, restarts=0)
     with pytest.raises(ValueError):
         minimize(1, 0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        minimize(1, 1, seed=-1)
 
 
 def test_report_json_round_trip():

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sgsim
 from sgsim.ansatz import ParamSet, build_reference_cat
 from sgsim.circuit import Circuit, zz
@@ -45,7 +47,8 @@ def test_calibrate_writes_params_and_report(tmp_path):
     assert doc["calibration"]["cost_trace"]
     records = doc["calibration"]["restart_records"]
     assert len(records) == 3
-    assert sum(r["evaluations"] for r in records) == len(doc["calibration"]["cost_trace"])
+    # the trace holds each restart's start cost, then one entry per iteration
+    assert sum(r["iterations"] + 1 for r in records) == len(doc["calibration"]["cost_trace"])
 
 
 def test_calibrate_same_seed_same_file(tmp_path):
@@ -231,6 +234,18 @@ def test_delayed_analytic_summary(tmp_path):
 def test_delayed_p_choice_validation(tmp_path):
     assert run_cli("delayed", "--reference", "--p-choice", "1.5",
                    "--out", str(tmp_path / "d.json")) == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--order", "zx", "--reference"], ["wigner", "--reference"],
+    ["delayed", "--reference", "--analytic"],
+    ["calibrate", "--n-probes-half", "1", "--layers", "1"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # default output files would land here
+    assert run_cli(*argv, "--seed", "-1") == 64
+    assert capsys.readouterr().err == "usage error: --seed must be >= 0\n"
+    assert not any(tmp_path.iterdir())
 
 
 # -------------------------------------------------------------- register cap

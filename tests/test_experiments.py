@@ -333,6 +333,8 @@ def test_config_validation():
         ExperimentConfig(N=3, a=1.0, b=complex(0.0, math.nan))
     with pytest.raises(ValueError):
         ExperimentConfig(N=0)
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(N=3, seed=-1)
     from sgsim.ansatz import ParamSet
     with pytest.raises(ValueError):
         ExperimentConfig(N=3, params=ParamSet(2, (0.1, 0.2), (0.3, 0.4)))
