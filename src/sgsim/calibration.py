@@ -1,6 +1,8 @@
 """Variational calibration of the measurement circuits: minimize the
-nearest-neighbor Ising energy of the device output with L-BFGS-B
-(finite-difference gradients), and score the achieved cat state.
+nearest-neighbor Ising energy of the device output with L-BFGS-B, and score
+the achieved cat state. L-BFGS-B gets the exact gradient of the cost from
+one forward and one backward (adjoint) pass over the half chain, so it
+makes no finite-difference probes.
 
 Both numbers are computed on one N-qubit half of the 2N+1 chain. No gate of
 the Z device flips the system qubit (ZZ is diagonal, H and RX act only on
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,17 +41,31 @@ def _half_diagonal(N: int, center_bit: int) -> np.ndarray:
     return (z[:, :-1] * z[:, 1:]).sum(axis=1) + (1 - 2 * center_bit) * z[:, 0]
 
 
-def _half_output(params: ParamSet, diagonal: np.ndarray) -> np.ndarray:
+def _rx_every_probe(amps: np.ndarray, n_qubits: int, beta: float) -> None:
+    """RX(beta) on every qubit of a half, in place."""
+    for q in range(n_qubits):
+        v = amps.reshape(-1, 2, 1 << q)
+        _mix(Gate.RX, beta, v[:, 0], v[:, 1])
+
+
+def _half_output(params: ParamSet, diagonal: np.ndarray,
+                 phased: list[np.ndarray] | None = None) -> np.ndarray:
     """Amplitudes of one half after the Z device: Hadamards, then per layer
-    the ZZ couplings as one diagonal phase and RX(beta) on every probe."""
+    the ZZ couplings as one diagonal phase and RX(beta) on every probe.
+    A `phased` list receives a copy of each layer's state after its phase."""
     N = params.N
     amps = np.full(1 << N, 2.0 ** (-N / 2), dtype=np.complex128)
     for gamma, beta in zip(params.gamma, params.beta):
         amps *= np.exp(1j * gamma * diagonal)
-        for q in range(N):
-            v = amps.reshape(-1, 2, 1 << q)
-            _mix(Gate.RX, beta, v[:, 0], v[:, 1])
+        if phased is not None:
+            phased.append(amps.copy())
+        _rx_every_probe(amps, N, beta)
     return amps
+
+
+def _energy(amps: np.ndarray, diagonal: np.ndarray) -> float:
+    """Chain energy: twice the half's expectation of its Ising diagonal."""
+    return -2.0 * float(np.dot(np.abs(amps) ** 2, diagonal))
 
 
 def cost(params: ParamSet) -> float:
@@ -64,8 +79,39 @@ def cost(params: ParamSet) -> float:
     Z-calibrated angles serve both devices.
     """
     diagonal = _half_diagonal(params.N, 0)
-    probs = np.abs(_half_output(params, diagonal)) ** 2
-    return -2.0 * float(np.dot(probs, diagonal))
+    return _energy(_half_output(params, diagonal), diagonal)
+
+
+def cost_and_gradient(params: ParamSet) -> tuple[float, np.ndarray]:
+    """`cost(params)`, bit for bit, and its exact gradient with respect to
+    (gamma_1..gamma_m, beta_1..beta_m).
+
+    Adjoint method (Jones & Gacon, arXiv:2009.02823): the forward pass keeps
+    each layer's state after its phase; the backward pass carries
+    lam = U_after^dagger D psi from the output back to the input. With
+    RX(b) = exp(+ibX), P(g) = exp(+igD) and C = -2<psi|D|psi>, layer k
+    contributes dC/dbeta_k = 4 Im<lam|sum_q X_q psi> after its RX and
+    dC/dgamma_k = 4 Im<lam|D psi> after its phase. One call takes about two
+    cost evaluations; forward finite differences take 2m more per gradient.
+    """
+    N, m = params.N, params.m
+    diagonal = _half_diagonal(N, 0)
+    phased: list[np.ndarray] = []
+    psi = _half_output(params, diagonal, phased)
+    value = _energy(psi, diagonal)
+    lam = diagonal * psi
+    gradient = np.empty(2 * m)
+    for k in reversed(range(m)):
+        flipped = sum(np.vdot(lam, psi.reshape(-1, 2, 1 << q)[:, ::-1])
+                      for q in range(N))
+        gradient[m + k] = 4.0 * flipped.imag
+        _rx_every_probe(lam, N, -params.beta[k])
+        psi = phased[k]
+        gradient[k] = 4.0 * np.vdot(lam, diagonal * psi).imag
+        unphase = np.exp(-1j * params.gamma[k] * diagonal)
+        lam *= unphase
+        psi *= unphase
+    return value, gradient
 
 
 def cat_fidelity(params: ParamSet, a: complex, b: complex) -> float:
@@ -93,8 +139,9 @@ class CalibrationReport:
     seed: int
     cat_fidelity_0: float
     cat_fidelity_plus: float
-    # one per restart, in order: start, best_cost, evaluations (cost calls),
-    # iterations, and the optimizer's return status and message
+    # one per restart, in order: start, best_cost, evaluations (calls of
+    # cost_and_gradient), iterations, and the optimizer's return status and
+    # message
     restart_records: list[dict]
 
     def to_dict(self) -> dict:
@@ -127,9 +174,10 @@ def scipy_minimize(*args, **kwargs):
 def _run_restart(args) -> tuple[dict, list[float], list[float]]:
     """One local optimization; returns (its record, final angles, cost trace).
 
-    The trace holds the start cost, then the cost after each L-BFGS-B
-    iteration. Its finite-difference probes are counted in `evaluations` but
-    not traced.
+    L-BFGS-B calls one function for the cost and its exact adjoint gradient
+    together (`jac=True`); `evaluations` counts those calls, the first of
+    which scores the start. The trace holds the start cost, then the cost
+    after each L-BFGS-B iteration.
     """
     x0, N, m, tolerance, max_iters = args
     evaluations = 0
@@ -137,15 +185,15 @@ def _run_restart(args) -> tuple[dict, list[float], list[float]]:
     def objective(x):
         nonlocal evaluations
         evaluations += 1
-        return cost(ParamSet(N, tuple(x[:m]), tuple(x[m:])))
+        return cost_and_gradient(ParamSet(N, tuple(x[:m]), tuple(x[m:])))
 
     start = np.asarray(x0)
-    trace = [objective(start)]
+    trace = [objective(start)[0]]
 
     def on_iteration(intermediate_result):
         trace.append(float(intermediate_result.fun))
 
-    result = scipy_minimize(objective, start, method="L-BFGS-B", tol=tolerance,
+    result = scipy_minimize(objective, start, jac=True, method="L-BFGS-B", tol=tolerance,
                             callback=on_iteration, options={"maxiter": max_iters})
     record = {"start": list(x0), "best_cost": float(result.fun),
               "evaluations": evaluations, "iterations": int(result.nit),
@@ -155,17 +203,17 @@ def _run_restart(args) -> tuple[dict, list[float], list[float]]:
 
 def minimize(N: int, m: int, restarts: int = 20, seed: int = 0,
              tolerance: float = 1e-6, max_iters: int = 2000,
-             workers: int | None = None) -> CalibrationReport:
+             workers: int = 1) -> CalibrationReport:
     """Best-of-restarts L-BFGS-B minimization of the device cost.
 
-    Each restart runs L-BFGS-B with finite-difference gradients; `tolerance`
-    is its ftol and gtol, `max_iters` its iteration cap, and the restart's
-    result is its final iterate. Starts are drawn uniformly from [0, pi)^(2m)
-    with a generator seeded by `seed`, so the full report is reproducible.
-    Restarts run in `workers` separate processes, one per CPU by default
-    (None) and never more than there are restarts; 1 runs them in this
-    process. Results are identical either way (restarts are independent and
-    merged in order).
+    Each restart runs L-BFGS-B on the cost and its exact adjoint gradient
+    (`cost_and_gradient`); `tolerance` is its ftol and gtol, `max_iters` its
+    iteration cap, and the restart's result is its final iterate. Starts are
+    drawn uniformly from [0, pi)^(2m) with a generator seeded by `seed`, so
+    the full report is reproducible. By default the restarts run one after
+    another in this process; `workers` > 1 runs them in that many separate
+    processes, never more than there are restarts. Results are identical
+    either way (restarts are independent and merged in order).
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -177,8 +225,6 @@ def minimize(N: int, m: int, restarts: int = 20, seed: int = 0,
     starts = rng.uniform(0.0, math.pi, size=(restarts, 2 * m))
     jobs = [(starts[r].tolist(), N, m, tolerance, max_iters) for r in range(restarts)]
 
-    if workers is None:
-        workers = os.cpu_count() or 1
     workers = min(workers, restarts)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

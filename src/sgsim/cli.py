@@ -21,7 +21,7 @@ from .experiments import (DELAYED_MODES, ExperimentConfig,
                           delayed_branch_distributions, run_delayed_choice,
                           run_sequential, run_wigner)
 from .layout import make_cross_layout, validate_nearest_neighbor
-from .state import MAX_QUBITS
+from .state import MAX_LAYERS, MAX_QUBITS, MAX_RESTARTS, MAX_SHOTS
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -113,10 +113,11 @@ def _load_params(path_text: str) -> ParamSet:
         raise _DataError(f"malformed parameter file {path}: {exc}")
 
 
-def _workers_from_env() -> int | None:
+def _workers_from_env() -> int:
+    """Calibration worker processes: SG_SEQ_THREADS, or 1 (no pool) if unset."""
     raw = os.environ.get("SG_SEQ_THREADS")
     if raw is None:
-        return None
+        return 1
     try:
         value = int(raw)
     except ValueError:
@@ -137,7 +138,8 @@ def _add_source_flags(parser: _Parser) -> None:
 def _add_run_flags(parser: _Parser) -> None:
     parser.add_argument("--n-probes-half", type=int, default=3, metavar="N",
                         help="probes per half-arm (ignored with --params; default 3)")
-    parser.add_argument("--shots", type=int, default=8192)
+    parser.add_argument("--shots", type=int, default=8192,
+                        help=f"samples to draw, 1..{MAX_SHOTS} (default 8192)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--input", default="1,0", metavar="A,B",
                         help="system-qubit amplitudes, e.g. '1,0' or '0.6,0.8'")
@@ -158,10 +160,17 @@ def _check_seed(seed: int) -> None:
         raise _UsageError("--seed must be >= 0")
 
 
+def _check_count(flag: str, value: int, cap: int) -> None:
+    """Refuse a count below 1 or above its cap before anything is allocated."""
+    if value < 1:
+        raise _UsageError(f"{flag} must be >= 1")
+    if value > cap:
+        raise _UsageError(f"{flag} must be at most {cap}")
+
+
 def _resolve_experiment(args, order: str, ancillas: int = 0
                         ) -> tuple[ExperimentConfig, object]:
-    if args.shots < 1:
-        raise _UsageError("--shots must be >= 1")
+    _check_count("--shots", args.shots, MAX_SHOTS)
     _check_seed(args.seed)
     a, b = _parse_input_pair(args.input)
     params = None
@@ -203,10 +212,8 @@ def _emit_report(args, command: str, config: ExperimentConfig, report,
 
 
 def _cmd_calibrate(args) -> int:
-    if args.restarts < 1:
-        raise _UsageError("--restarts must be >= 1")
-    if args.layers < 1:
-        raise _UsageError("--layers must be >= 1")
+    _check_count("--restarts", args.restarts, MAX_RESTARTS)
+    _check_count("--layers", args.layers, MAX_LAYERS)
     if args.n_probes_half < 1:
         raise _UsageError("--n-probes-half must be >= 1")
     if not (math.isfinite(args.tol) and args.tol > 0.0):
@@ -311,13 +318,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate", help="variationally calibrate a device")
     p.add_argument("--n-probes-half", type=int, default=3, metavar="N")
-    p.add_argument("--layers", type=int, default=3, metavar="M")
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--layers", type=int, default=3, metavar="M",
+                   help=f"device layers, 1..{MAX_LAYERS} (default 3)")
+    p.add_argument("--restarts", type=int, default=20,
+                   help=f"L-BFGS-B runs from seeded random starts, 1..{MAX_RESTARTS} "
+                        "(default 20)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="L-BFGS-B ftol and gtol of each restart (default 1e-6)")
+                   help="L-BFGS-B ftol and gtol of each restart (default 1e-6); "
+                        "the gradient is exact, from one adjoint pass")
     p.add_argument("--max-iters", type=int, default=2000,
-                   help="L-BFGS-B iteration cap of each restart (default 2000)")
+                   help="L-BFGS-B iteration cap of each restart (default 2000); "
+                        "an iteration makes one or more cost-and-gradient evaluations")
     p.add_argument("--threshold", type=float, default=None,
                    help="acceptance cost (default 0.9 * ground energy)")
     p.add_argument("--out", default="params.json", metavar="FILE")

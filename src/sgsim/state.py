@@ -26,6 +26,16 @@ BIT_ORDER = "q[n-1]..q[0]: leftmost character is the highest qubit index"
 # experiment at N=5 needs 22 qubits.
 MAX_QUBITS = 24
 
+# Largest counts the CLI accepts for its other sizes, checked before anything
+# is allocated. Sampling draws one 8-byte index per shot, so MAX_SHOTS = 2^24
+# shots take 128 MiB, as much as half the largest register. A calibration
+# draws all its start points at once (restarts x 2*layers angles, 1.6 MB at
+# both caps) and keeps one half-chain state per layer for the gradient
+# (MAX_LAYERS x 32 KiB at N=11); default runs use 20 restarts of 3 layers.
+MAX_SHOTS = 1 << 24
+MAX_RESTARTS = 1000
+MAX_LAYERS = 100
+
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT2_INV, _SQRT2_INV], [_SQRT2_INV, -_SQRT2_INV]], dtype=complex)
 

@@ -8,7 +8,8 @@ import pytest
 
 import sgsim.calibration
 from sgsim.ansatz import ParamSet, build_sg_z
-from sgsim.calibration import cat_fidelity, cost, ground_energy, minimize
+from sgsim.calibration import (cat_fidelity, cost, cost_and_gradient, ground_energy,
+                               minimize)
 from sgsim.state import apply_circuit, basis_state
 
 from oracles import full_chain_cat_fidelity, full_chain_cost
@@ -33,6 +34,23 @@ def test_half_chain_matches_full_chain_oracle():
         assert abs(cost(params) - full_chain_cost(params)) <= 1e-12
         assert abs(cat_fidelity(params, a, b)
                    - full_chain_cat_fidelity(params, a, b)) <= 1e-12
+
+
+def test_gradient_matches_finite_differences():
+    rng = np.random.default_rng(23)
+    step = 1e-6
+    for _ in range(40):
+        N, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        x = rng.uniform(0, 2 * math.pi, 2 * m)
+
+        def params(v):
+            return ParamSet(N, tuple(v[:m]), tuple(v[m:]))
+
+        value, gradient = cost_and_gradient(params(x))
+        assert abs(value - cost(params(x))) <= 1e-12
+        central = [(cost(params(x + step * e)) - cost(params(x - step * e))) / (2 * step)
+                   for e in np.eye(2 * m)]
+        np.testing.assert_allclose(gradient, central, rtol=0, atol=1e-6)
 
 
 def test_cost_respects_variational_bound():
@@ -79,14 +97,14 @@ def test_worker_count_is_clamped_to_restarts(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(sgsim.calibration, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(sgsim.calibration.os, "cpu_count", lambda: 64)
     kwargs = dict(restarts=3, seed=5, max_iters=30)
     clamped = minimize(1, 1, workers=1000, **kwargs)
-    automatic = minimize(1, 1, workers=None, **kwargs)
-    assert requested == [3, 3]
+    assert requested == [3]
+    # the default runs the restarts in this process and starts no pool
+    default = minimize(1, 1, **kwargs)
     serial = minimize(1, 1, workers=1, **kwargs)
-    assert clamped.to_dict() == automatic.to_dict() == serial.to_dict()
-    assert requested == [3, 3]
+    assert clamped.to_dict() == default.to_dict() == serial.to_dict()
+    assert requested == [3]
 
 
 def test_report_invariants(calibrated_n3):
@@ -117,14 +135,15 @@ def test_report_invariants(calibrated_n3):
 
 
 def test_evaluations_count_cost_calls(monkeypatch):
+    # every evaluation is one call of the cost-and-gradient function
     calls = []
-    real_cost = sgsim.calibration.cost
+    real_cost_and_gradient = sgsim.calibration.cost_and_gradient
 
-    def counting_cost(params):
+    def counting_cost_and_gradient(params):
         calls.append(params)
-        return real_cost(params)
+        return real_cost_and_gradient(params)
 
-    monkeypatch.setattr(sgsim.calibration, "cost", counting_cost)
+    monkeypatch.setattr(sgsim.calibration, "cost_and_gradient", counting_cost_and_gradient)
     report = minimize(1, 2, restarts=3, seed=4, workers=1)
     assert sum(r["evaluations"] for r in report.restart_records) == len(calls)
 

@@ -14,7 +14,7 @@ from sgsim.ansatz import ParamSet, build_reference_cat
 from sgsim.circuit import Circuit, zz
 from sgsim.cli import main
 from sgsim.layout import make_cross_layout
-from sgsim.state import MAX_QUBITS
+from sgsim.state import MAX_LAYERS, MAX_QUBITS, MAX_RESTARTS, MAX_SHOTS
 
 
 def run_cli(*argv):
@@ -270,6 +270,22 @@ def test_register_cap_is_a_usage_error(tmp_path, capsys):
     # the largest cross the experiments use, N=5 with the delayed-choice
     # ancilla, stays within the cap
     assert 4 * 5 + 2 <= MAX_QUBITS
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--order", "zx", "--reference", "--shots", str(MAX_SHOTS + 1)],
+    ["wigner", "--reference", "--shots", str(MAX_SHOTS + 1)],
+    ["delayed", "--reference", "--shots", str(MAX_SHOTS + 1)],
+    ["calibrate", "--restarts", str(MAX_RESTARTS + 1)],
+    ["calibrate", "--layers", str(MAX_LAYERS + 1)],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_count_caps_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    # one above each cap; the count is refused before anything is drawn
+    monkeypatch.chdir(tmp_path)  # default output files would land here
+    assert run_cli(*argv) == 64
+    flag, cap = argv[-2], int(argv[-1]) - 1
+    assert capsys.readouterr().err == f"usage error: {flag} must be at most {cap}\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
