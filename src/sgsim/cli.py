@@ -108,9 +108,13 @@ def _load_params(path_text: str) -> ParamSet:
     if not path.is_file():
         raise _DataError(f"parameter file not found: {path}")
     try:
-        return ParamSet.from_json(path.read_text())
+        params = ParamSet.from_json(path.read_text())
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise _DataError(f"malformed parameter file {path}: {exc}")
+    if params.m > MAX_LAYERS:  # each layer adds gates on every qubit
+        raise _DataError(f"parameter file {path} has {params.m} layers; "
+                         f"at most {MAX_LAYERS} are allowed")
+    return params
 
 
 def _workers_from_env() -> int:
@@ -321,15 +325,18 @@ def build_parser() -> _Parser:
     p.add_argument("--layers", type=int, default=3, metavar="M",
                    help=f"device layers, 1..{MAX_LAYERS} (default 3)")
     p.add_argument("--restarts", type=int, default=20,
-                   help=f"L-BFGS-B runs from seeded random starts, 1..{MAX_RESTARTS} "
+                   help=f"L-BFGS runs from seeded random starts, 1..{MAX_RESTARTS} "
                         "(default 20)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="L-BFGS-B ftol and gtol of each restart (default 1e-6); "
-                        "the gradient is exact, from one adjoint pass")
+                   help="a restart converges when its largest gradient component, "
+                        "or its relative cost reduction over one iteration, is at "
+                        "most this (default 1e-6); the gradient is exact, from one "
+                        "adjoint pass")
     p.add_argument("--max-iters", type=int, default=2000,
-                   help="L-BFGS-B iteration cap of each restart (default 2000); "
-                        "an iteration makes one or more cost-and-gradient evaluations")
+                   help="iteration cap of each restart (default 2000); an iteration "
+                        "halves its step until the cost decreases enough, making "
+                        "1 to 20 cost-and-gradient evaluations")
     p.add_argument("--threshold", type=float, default=None,
                    help="acceptance cost (default 0.9 * ground energy)")
     p.add_argument("--out", default="params.json", metavar="FILE")

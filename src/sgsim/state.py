@@ -32,6 +32,7 @@ MAX_QUBITS = 24
 # draws all its start points at once (restarts x 2*layers angles, 1.6 MB at
 # both caps) and keeps one half-chain state per layer for the gradient
 # (MAX_LAYERS x 32 KiB at N=11); default runs use 20 restarts of 3 layers.
+# A parameter file's layer count is held to MAX_LAYERS as well.
 MAX_SHOTS = 1 << 24
 MAX_RESTARTS = 1000
 MAX_LAYERS = 100

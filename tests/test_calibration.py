@@ -8,8 +8,8 @@ import pytest
 
 import sgsim.calibration
 from sgsim.ansatz import ParamSet, build_sg_z
-from sgsim.calibration import (cat_fidelity, cost, cost_and_gradient, ground_energy,
-                               minimize)
+from sgsim.calibration import (_half_diagonal, cat_fidelity, cost, cost_and_gradient,
+                               ground_energy, minimize, scipy_minimize)
 from sgsim.state import apply_circuit, basis_state
 
 from oracles import full_chain_cat_fidelity, full_chain_cost
@@ -51,6 +51,111 @@ def test_gradient_matches_finite_differences():
         central = [(cost(params(x + step * e)) - cost(params(x - step * e))) / (2 * step)
                    for e in np.eye(2 * m)]
         np.testing.assert_allclose(gradient, central, rtol=0, atol=1e-6)
+
+
+def test_half_diagonal_is_cached_and_read_only():
+    # a size no other test uses: a write that got through spoils no other test
+    diagonal = _half_diagonal(12, 0)
+    assert _half_diagonal(12, 0) is diagonal
+    assert _half_diagonal(12, 1) is not diagonal
+    with pytest.raises(ValueError):
+        diagonal[0] = 7
+    with pytest.raises(ValueError):
+        diagonal *= 2
+
+
+# ------------------------------------------------- the L-BFGS on its own
+
+def rosenbrock(x):
+    value = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+    gradient = np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+                         200.0 * (x[1] - x[0] ** 2)])
+    return value, gradient
+
+
+def run_lbfgs(fun, x0, tolerance=1e-12, max_iters=2000):
+    x0 = np.asarray(x0, dtype=float)
+    return scipy_minimize(fun, x0, *fun(x0), tolerance, max_iters)
+
+
+def test_lbfgs_reaches_quadratic_minimizer():
+    rng = np.random.default_rng(1)
+    factor = rng.normal(size=(5, 5))
+    a, b = factor @ factor.T + np.eye(5), rng.normal(size=5)
+    x, values, status, message = run_lbfgs(lambda v: (0.5 * v @ a @ v - b @ v, a @ v - b),
+                                           np.zeros(5))
+    assert status == 0 and message.startswith("converged")
+    np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-6)
+    assert values == sorted(values, reverse=True)  # every step decreases the cost
+
+
+def test_lbfgs_reaches_rosenbrock_minimizer():
+    x, values, status, _ = run_lbfgs(rosenbrock, [-1.2, 1.0])
+    assert status == 0
+    np.testing.assert_allclose(x, [1.0, 1.0], rtol=0, atol=1e-6)
+    assert values[-1] <= 1e-12
+
+
+def test_lbfgs_stops_at_the_iteration_cap():
+    x, values, status, message = run_lbfgs(rosenbrock, [-1.2, 1.0], max_iters=3)
+    assert status == 1 and message == "stopped: iteration cap reached"
+    assert len(values) == 3 + 1  # the start, then one cost per iteration
+    assert values[-1] == rosenbrock(x)[0]
+
+
+def test_lbfgs_reports_a_failed_line_search():
+    # a gradient of the wrong sign points uphill: no halved step decreases
+    calls = []
+
+    def uphill(x):
+        calls.append(x)
+        value, gradient = rosenbrock(x)
+        return value, -gradient
+
+    x, values, status, message = run_lbfgs(uphill, [-1.2, 1.0])
+    assert status == 2 and message.startswith("line search failed")
+    assert values == [rosenbrock(np.array([-1.2, 1.0]))[0]]
+    np.testing.assert_array_equal(x, [-1.2, 1.0])
+    assert len(calls) == 1 + 20  # the start, then 20 trial steps
+
+
+def test_lbfgs_evaluates_each_point_once():
+    x0 = np.array([-1.2, 1.0])
+    calls = []
+
+    def counting(x):
+        calls.append(x.copy())
+        return rosenbrock(x)
+
+    _, values, _, _ = scipy_minimize(counting, x0, *rosenbrock(x0), 1e-12, 2000)
+    assert len(calls) >= len(values) - 1  # one call at least per iteration
+    points = {tuple(x) for x in calls}
+    assert len(points) == len(calls) and tuple(x0) not in points
+
+
+def test_lbfgs_retries_a_failed_search_along_steepest_descent():
+    # restart 7 of this calibration keeps a pair with s'y ~ 9e-6 at its 11th
+    # iteration; the next direction has norm ~1e7 and no halved step of it
+    # decreases the cost, so the search starts over from -g and converges
+    report = minimize(3, 3, restarts=8, seed=3)
+    record = report.restart_records[7]
+    assert record["status"] == 0 and record["iterations"] > 11
+    assert all(r["status"] == 0 for r in report.restart_records)
+
+
+def test_restart_evaluates_its_start_once(monkeypatch):
+    calls = []
+    real_cost_and_gradient = sgsim.calibration.cost_and_gradient
+
+    def counting_cost_and_gradient(params):
+        calls.append(params.gamma + params.beta)
+        return real_cost_and_gradient(params)
+
+    monkeypatch.setattr(sgsim.calibration, "cost_and_gradient", counting_cost_and_gradient)
+    report = minimize(2, 2, restarts=1, seed=6)
+    start = tuple(report.restart_records[0]["start"])
+    assert calls.count(start) == 1 and calls[0] == start
+    assert report.restart_records[0]["evaluations"] == len(calls)
 
 
 def test_cost_respects_variational_bound():
@@ -132,6 +237,12 @@ def test_report_invariants(calibrated_n3):
         stretch = [v for _, v in report.cost_trace[start:start + r["iterations"] + 1]]
         assert r["best_cost"] == min(stretch)
         start += r["iterations"] + 1
+
+
+def test_default_calibration_converges(calibrated_n3):
+    report, _ = calibrated_n3
+    assert abs(report.best_cost - report.ground_energy) <= 1e-6
+    assert all(r["status"] == 0 for r in report.restart_records)
 
 
 def test_evaluations_count_cost_calls(monkeypatch):

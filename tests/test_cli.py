@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sgsim
+import sgsim.cli
 from sgsim.ansatz import ParamSet, build_reference_cat
 from sgsim.circuit import Circuit, zz
 from sgsim.cli import main
@@ -286,6 +287,54 @@ def test_count_caps_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
     flag, cap = argv[-2], int(argv[-1]) - 1
     assert capsys.readouterr().err == f"usage error: {flag} must be at most {cap}\n"
     assert not any(tmp_path.iterdir())
+
+
+LAYER_CAP_COMMANDS = [["run", "--order", "zx"], ["wigner"], ["delayed", "--analytic"]]
+
+
+@pytest.mark.parametrize("argv", LAYER_CAP_COMMANDS, ids=lambda argv: argv[0])
+def test_params_layer_cap_is_a_data_error(tmp_path, monkeypatch, capsys, argv):
+    # one layer above the cap; the file is refused before any circuit is built
+    params_file = tmp_path / "deep.json"
+    ParamSet(1, (0.1,) * (MAX_LAYERS + 1), (0.2,) * (MAX_LAYERS + 1)).to_json(params_file)
+
+    def no_experiment(**kwargs):
+        raise AssertionError("an experiment was configured")
+
+    monkeypatch.setattr(sgsim.cli, "ExperimentConfig", no_experiment)
+    out = tmp_path / "r.json"
+    assert run_cli(*argv, "--params", str(params_file), "--shots", "16",
+                   "--out", str(out)) == 65
+    assert capsys.readouterr().err == (f"error: parameter file {params_file} has "
+                                       f"{MAX_LAYERS + 1} layers; at most {MAX_LAYERS} "
+                                       "are allowed\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", LAYER_CAP_COMMANDS, ids=lambda argv: argv[0])
+def test_params_at_layer_cap_are_accepted(tmp_path, argv):
+    params_file = tmp_path / "deep.json"
+    ParamSet(1, (0.1,) * MAX_LAYERS, (0.2,) * MAX_LAYERS).to_json(params_file)
+    out = tmp_path / "r.json"
+    assert run_cli(*argv, "--params", str(params_file), "--shots", "16",
+                   "--out", str(out)) == 0
+    assert out.is_file()
+
+
+def test_calibration_never_loads_scipy(tmp_path):
+    src = str(Path(sgsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out, report = tmp_path / "p.json", tmp_path / "c.json"
+    argv = ["calibrate", "--n-probes-half", "1", "--layers", "1", "--restarts", "2",
+            "--out", str(out), "--report", str(report)]
+    code = ("import sys, sgsim.cli\n"
+            f"assert sgsim.cli.main({argv!r}) == 0\n"
+            "loaded = [k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')]\n"
+            "sys.exit(repr(loaded) if loaded else 0)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0
+    assert out.is_file() and report.is_file()
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
